@@ -17,6 +17,7 @@
 #![forbid(unsafe_code)]
 
 use std::cell::Cell;
+use std::sync::OnceLock;
 
 pub mod iter;
 
@@ -31,6 +32,14 @@ thread_local! {
     static CURRENT_THREADS: Cell<usize> = const { Cell::new(0) };
 }
 
+/// The machine's available parallelism, read once per process (it can
+/// cost cgroup file reads per call) — how real rayon sizes its global
+/// pool.
+fn default_num_threads() -> usize {
+    static THREADS: OnceLock<usize> = OnceLock::new();
+    *THREADS.get_or_init(|| std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1))
+}
+
 /// Number of threads parallel operations may use on this thread:
 /// the installed pool's size, or the machine's available parallelism.
 pub fn current_num_threads() -> usize {
@@ -38,7 +47,7 @@ pub fn current_num_threads() -> usize {
     if t > 0 {
         t
     } else {
-        std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1)
+        default_num_threads()
     }
 }
 
@@ -93,7 +102,7 @@ impl ThreadPool {
         if self.num_threads > 0 {
             self.num_threads
         } else {
-            std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1)
+            default_num_threads()
         }
     }
 

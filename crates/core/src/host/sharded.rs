@@ -257,17 +257,18 @@ mod tests {
 
     #[test]
     fn fragment_heavy_topology_dispatches_parallel_stitch() {
-        // A random permutation contracts to ≈ n fragments; the model
-        // must route a list that long to the parallel stitch — and the
+        // A random permutation contracts to ≈ n fragments; the stitch
+        // of a list that long must take the model's pick — and the
         // result must still be exact.
         let n = 200_000;
         let list = gen::random_list(n, 3);
         let (ranks, report) = rank_sharded(&list, 16_384, 7);
         assert_eq!(ranks, listkit::serial::rank(&list));
         assert!(report.fragments > n / 2);
-        if rayon::current_num_threads() >= 2 {
-            assert_eq!(report.stitch_algorithm, Algorithm::ReidMiller);
-        }
+        // The stitch follows the cost model at this host's thread
+        // count; `rankmodel` pins the model's pick at p = 1, 2, 4.
+        let lanes = listkit::walk::DEFAULT_LANES;
+        assert_eq!(report.stitch_algorithm, stitch_choice(report.fragments, 8, lanes));
     }
 
     #[test]
@@ -297,8 +298,7 @@ mod tests {
         let (got, report) = scan_sharded(&list, &funcs, &AffineOp, 4096, 7);
         assert_eq!(got, listkit::serial::scan(&list, &funcs, &AffineOp));
         assert!(report.fragments > n / 2, "random permutation barely contracts");
-        if rayon::current_num_threads() >= 2 {
-            assert_eq!(report.stitch_algorithm, Algorithm::ReidMiller);
-        }
+        let lanes = listkit::walk::DEFAULT_LANES;
+        assert_eq!(report.stitch_algorithm, stitch_choice(report.fragments, 16, lanes));
     }
 }

@@ -530,34 +530,6 @@ impl Client {
         self.expect_output(FrameKind::Rank, &protocol::rank_body(list, true))
     }
 
-    /// [`Client::rank`] with a queue deadline: if the job has not
-    /// started executing within `deadline_ms` of submission, the
-    /// server drops it and answers
-    /// [`ErrorCode::DeadlineExceeded`]. Requires a v5 server.
-    pub fn rank_with_deadline(
-        &mut self,
-        list: &LinkedList,
-        deadline_ms: u64,
-    ) -> Result<ServedOutput<u64>, ClientError> {
-        self.expect_output(
-            FrameKind::Rank,
-            &protocol::rank_body_deadline(list, false, Some(deadline_ms)),
-        )
-    }
-
-    /// [`Client::rank_h`] with a queue deadline (see
-    /// [`Client::rank_with_deadline`]).
-    pub fn rank_h_with_deadline(
-        &mut self,
-        handle: u64,
-        deadline_ms: u64,
-    ) -> Result<ServedOutput<u64>, ClientError> {
-        self.expect_output(
-            FrameKind::RankH,
-            &protocol::rank_h_body_deadline(handle, false, Some(deadline_ms)),
-        )
-    }
-
     /// Pipelined [`Client::rank`]: send only, tagged `request_id`
     /// (nonzero). Pair with [`Client::recv_pipelined::<u64>`].
     pub fn send_rank(&mut self, list: &LinkedList, request_id: u64) -> Result<(), ClientError> {
@@ -569,20 +541,6 @@ impl Client {
     pub fn send_rank_h(&mut self, handle: u64, request_id: u64) -> Result<(), ClientError> {
         let flags = protocol::ReqFlags::default().with_request_id(request_id);
         self.send_encoded(FrameKind::RankH, &protocol::rank_h_body_flags(handle, flags))
-    }
-
-    /// Pipelined [`Client::scan_add`]: send only, tagged `request_id`.
-    pub fn send_scan_add(
-        &mut self,
-        list: &LinkedList,
-        values: &[i64],
-        request_id: u64,
-    ) -> Result<(), ClientError> {
-        let flags = protocol::ReqFlags::default().with_request_id(request_id);
-        self.send_encoded(
-            FrameKind::Scan,
-            &protocol::scan_body_flags(list, values, WireOp::Add, flags),
-        )
     }
 
     fn scan_with<T: WireElem>(

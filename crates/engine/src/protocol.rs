@@ -48,34 +48,26 @@ pub const MAGIC: u32 = u32::from_le_bytes(*b"RNKD");
 /// (histogram blocks) was added. **3** — the resident-dataset plane:
 /// PUT / PUT_OK, RANK_H / SCAN_H / SEGSCAN_H, DROP / DROP_OK, error
 /// codes `stale_handle` and `store_full`, and the STATS_V2 `store`
-/// gauge block. v3 is purely additive over v2 (no existing layout
-/// changed), so servers accept HELLOs from [`MIN_VERSION`] up.
-/// **4** — dynamic lists: MUTATE / MUTATE_OK (batched splice / delete /
-/// append edits against a resident handle), error code `bad_mutation`,
-/// and the STATS_V2 `mutate` gauge block. v4 is again purely additive,
-/// so [`MIN_VERSION`] stays at 2. **5** — resilience: the
-/// [`FLAG_DEADLINE`] request flag (an optional per-request
-/// `deadline_ms: u64` after the flags byte in the six job-bearing
-/// kinds), error codes `internal_error`, `deadline_exceeded`, and
-/// `overloaded`, and the STATS_V2 `fault` gauge block. v5 is purely
-/// additive; a server only honors the deadline flag on connections
-/// that negotiated v5 or newer (from an older client it is malformed),
-/// so [`MIN_VERSION`] stays at 2. **6** — pipelining and QoS: the
-/// [`FLAG_BATCH`] priority flag and the [`FLAG_REQUEST_ID`] flag (an
-/// optional client-chosen `request_id: u64` after the deadline field;
-/// requests carrying it may overlap on one connection and are answered
-/// with [`FrameKind::OutputP`] / [`FrameKind::ErrorP`] frames echoing
-/// the id, in completion order), error code `quota_exceeded`, and the
-/// STATS_V2 `sched` gauge + `pipeline` histogram blocks. v6 is purely
-/// additive; a server only honors the new flags on connections that
-/// negotiated v6 or newer, so [`MIN_VERSION`] stays at 2.
+/// gauge block. **4** — dynamic lists: MUTATE / MUTATE_OK (batched
+/// splice / delete / append edits against a resident handle), error
+/// code `bad_mutation`, and the STATS_V2 `mutate` gauge block. **5** —
+/// resilience: the [`FLAG_DEADLINE`] request flag (an optional
+/// per-request `deadline_ms: u64` after the flags byte in the six
+/// job-bearing kinds), error codes `internal_error`,
+/// `deadline_exceeded`, and `overloaded`, and the STATS_V2 `fault`
+/// gauge block. **6** — pipelining and QoS: the [`FLAG_BATCH`] priority
+/// flag and the [`FLAG_REQUEST_ID`] flag (an optional client-chosen
+/// `request_id: u64` after the deadline field; requests carrying it
+/// may overlap on one connection and are answered with
+/// [`FrameKind::OutputP`] / [`FrameKind::ErrorP`] frames echoing the
+/// id, in completion order), error code `quota_exceeded`, and the
+/// STATS_V2 `sched` gauge + `pipeline` histogram blocks.
 pub const VERSION: u16 = 6;
 
-/// Oldest HELLO version a server still accepts. v2–v4 clients speak
-/// strict subsets of v5 (they simply never send handle, mutation, or
-/// deadline-flagged frames); v1 is rejected because the OUTPUT layout
-/// changed in v2.
-pub const MIN_VERSION: u16 = 2;
+/// Oldest HELLO version a server accepts: v6 is the floor, so every
+/// connection speaks the full flag set and no request is gated on the
+/// version its connection negotiated.
+pub const MIN_VERSION: u16 = 6;
 
 /// Default cap on `len` a peer will accept (256 MiB): large enough for
 /// a 10^7-vertex scan with 16-byte values, small enough that a corrupt
@@ -612,16 +604,13 @@ pub const FLAG_SHARDED: u8 = 0b0000_0001;
 /// flags byte. The deadline is relative — "drop this request if it has
 /// not started executing within this many milliseconds of arrival" —
 /// and is enforced at dequeue with a typed
-/// [`ErrorCode::DeadlineExceeded`] reply. Servers reject the flag as
-/// malformed on connections that negotiated a HELLO version below 5.
+/// [`ErrorCode::DeadlineExceeded`] reply.
 pub const FLAG_DEADLINE: u8 = 0b0000_0010;
 
 /// Request flag bit (protocol v6): schedule this request in the
 /// *batch* QoS class — it dispatches only when no interactive request
 /// is queued, except for the scheduler's periodic anti-starvation
 /// aging tick. No field follows; clear = interactive (the default).
-/// Servers reject the flag as malformed on connections that
-/// negotiated a HELLO version below 6.
 pub const FLAG_BATCH: u8 = 0b0000_0100;
 
 /// Request flag bit (protocol v6): a client-chosen `request_id: u64`
@@ -630,8 +619,7 @@ pub const FLAG_BATCH: u8 = 0b0000_0100;
 /// one connection — and are answered with [`FrameKind::OutputP`] /
 /// [`FrameKind::ErrorP`] frames echoing the id, in completion order.
 /// Id `0` is reserved (malformed); reusing an id while it is still in
-/// flight on the same connection is malformed. Servers reject the
-/// flag on connections that negotiated a HELLO version below 6.
+/// flight on the same connection is malformed.
 pub const FLAG_REQUEST_ID: u8 = 0b0000_1000;
 
 /// The decoded request-flags prefix shared by the six job-bearing
@@ -692,10 +680,54 @@ impl ReqFlags {
     }
 }
 
+/// Where a job's list comes from: the frame's *source* axis.
+#[derive(Debug, PartialEq)]
+pub enum JobSource {
+    /// The list travels in the frame (RANK / SCAN / SEGSCAN).
+    Inline(LinkedList),
+    /// A resident dataset named by a PUT_OK handle on this connection
+    /// (RANK_H / SCAN_H / SEGSCAN_H).
+    Handle(u64),
+}
+
+/// What a job computes: the frame's *shape* axis. Rank is a `+`-scan of
+/// ones and a segmented scan is a scan with restart flags, so one
+/// variant carries every scan.
+#[derive(Debug, PartialEq)]
+pub enum JobOp {
+    /// List ranking (RANK / RANK_H).
+    Rank,
+    /// Exclusive scan of `values` under `op`; segmented exactly when
+    /// `starts` is present (SEGSCAN / SEGSCAN_H).
+    Scan {
+        /// The operator (fixes the element type of `values`).
+        op: WireOp,
+        /// One value per vertex. For a handle source the length is
+        /// checked against the resident list at submit, not decode —
+        /// the decoder doesn't know the dataset.
+        values: WireValues,
+        /// Unpacked segment-start flags, one per value.
+        starts: Option<Vec<bool>>,
+    },
+}
+
+/// One decoded job frame. All six job kinds decode into this type:
+/// each kind byte names one (source, shape) pair —
+/// RANK / SCAN / SEGSCAN inline, RANK_H / SCAN_H / SEGSCAN_H by handle.
+#[derive(Debug, PartialEq)]
+pub struct WireJob {
+    /// Decoded flags prefix (routing, deadline, QoS, pipelining).
+    pub flags: ReqFlags,
+    /// Inline list or resident handle.
+    pub source: JobSource,
+    /// Rank or (segmented) scan.
+    pub op: JobOp,
+}
+
 /// A decoded client→server request, ready to map onto the engine's
-/// typed [`crate::Request`] builders. The successor array has already
-/// passed [`LinkedList`] construction — a structurally invalid list
-/// never gets past [`decode_request`].
+/// typed [`crate::Request`] builders. An inline successor array has
+/// already passed [`LinkedList`] construction — a structurally invalid
+/// list never gets past [`decode_request`].
 #[derive(Debug)]
 pub enum WireRequest {
     /// Handshake (magic and version still unchecked — the server
@@ -706,76 +738,12 @@ pub enum WireRequest {
         /// Version the client speaks (must be [`VERSION`]).
         version: u16,
     },
-    /// Rank the list.
-    Rank {
-        /// Decoded flags prefix (routing, deadline, QoS, pipelining).
-        flags: ReqFlags,
-        /// The validated list.
-        list: LinkedList,
-    },
-    /// Scan values along the list under `op`.
-    Scan {
-        /// Decoded flags prefix (routing, deadline, QoS, pipelining).
-        flags: ReqFlags,
-        /// The operator (fixes the element type of `values`).
-        op: WireOp,
-        /// The validated list.
-        list: LinkedList,
-        /// The value array (same length as the list).
-        values: WireValues,
-    },
-    /// Segmented scan: like [`WireRequest::Scan`] plus segment-start
-    /// flags.
-    SegScan {
-        /// Decoded flags prefix (routing, deadline, QoS, pipelining).
-        flags: ReqFlags,
-        /// The operator (fixes the element type of `values`).
-        op: WireOp,
-        /// The validated list.
-        list: LinkedList,
-        /// Unpacked segment-start flags, one per vertex.
-        starts: Vec<bool>,
-        /// The value array (same length as the list).
-        values: WireValues,
-    },
+    /// Any of the six job-bearing kinds.
+    Job(WireJob),
     /// Admit a dataset into the resident store ([`FrameKind::Put`]).
     Put {
         /// The validated list to make resident.
         list: LinkedList,
-    },
-    /// Rank a resident dataset ([`FrameKind::RankH`]).
-    RankH {
-        /// Decoded flags prefix (routing, deadline, QoS, pipelining).
-        flags: ReqFlags,
-        /// Handle from a PUT_OK on this connection.
-        handle: u64,
-    },
-    /// Scan values along a resident dataset ([`FrameKind::ScanH`]).
-    ScanH {
-        /// Decoded flags prefix (routing, deadline, QoS, pipelining).
-        flags: ReqFlags,
-        /// The operator (fixes the element type of `values`).
-        op: WireOp,
-        /// Handle from a PUT_OK on this connection.
-        handle: u64,
-        /// The value array (length must match the resident list —
-        /// checked at submit, not decode: the decoder doesn't know
-        /// the dataset).
-        values: WireValues,
-    },
-    /// Segmented scan over a resident dataset ([`FrameKind::SegScanH`]).
-    SegScanH {
-        /// Decoded flags prefix (routing, deadline, QoS, pipelining).
-        flags: ReqFlags,
-        /// The operator (fixes the element type of `values`).
-        op: WireOp,
-        /// Handle from a PUT_OK on this connection.
-        handle: u64,
-        /// Unpacked segment-start flags, one per value.
-        starts: Vec<bool>,
-        /// The value array (length checked against the resident list
-        /// at submit).
-        values: WireValues,
     },
     /// Drop a resident dataset ([`FrameKind::Drop`]).
     Drop {
@@ -848,6 +816,53 @@ fn decode_starts(n: usize, d: &mut Dec<'_>) -> Result<Vec<bool>, WireError> {
     Ok((0..n).map(|v| raw[v / 8] >> (v % 8) & 1 == 1).collect())
 }
 
+/// Decode one job body. The kind byte picks a row of the job-frame
+/// table — (source, shape) as `(by_handle, scan, segmented)` — and the
+/// layout follows from it: the flags prefix, the operator (scans), the
+/// source — the inline list, or `handle` plus a `count: u32` for scans
+/// — then the start bitmap (segmented scans) and the values (scans).
+/// [`decode_request`] routes every kind it does not decode itself
+/// here, so any other kind is a server→client one.
+fn decode_job(kind: FrameKind, d: &mut Dec<'_>) -> Result<WireJob, WireError> {
+    let (by_handle, scan, segmented) = match kind {
+        FrameKind::Rank => (false, false, false),
+        FrameKind::Scan => (false, true, false),
+        FrameKind::SegScan => (false, true, true),
+        FrameKind::RankH => (true, false, false),
+        FrameKind::ScanH => (true, true, false),
+        FrameKind::SegScanH => (true, true, true),
+        other => {
+            return Err(WireError::malformed(format!("{other:?} is a server→client frame kind")))
+        }
+    };
+    let flags = decode_flags(d)?;
+    let op = if scan {
+        let op_byte = d.u8("operator")?;
+        Some(WireOp::from_u8(op_byte).ok_or(WireError {
+            code: ErrorCode::UnknownOp,
+            message: format!("operator byte {op_byte:#04x}"),
+        })?)
+    } else {
+        None
+    };
+    let (source, n) = if by_handle {
+        let handle = d.u64("handle")?;
+        let n = if scan { d.u32("value count")? as usize } else { 0 };
+        (JobSource::Handle(handle), n)
+    } else {
+        let (list, n) = decode_list(d)?;
+        (JobSource::Inline(list), n)
+    };
+    let op = match op {
+        None => JobOp::Rank,
+        Some(op) => {
+            let starts = if segmented { Some(decode_starts(n, d)?) } else { None };
+            JobOp::Scan { op, values: decode_values(op, n, d)?, starts }
+        }
+    };
+    Ok(WireJob { flags, source, op })
+}
+
 /// Decode a client→server frame into a typed request. Failures carry
 /// the [`ErrorCode`] the server should answer with; none of them are
 /// connection-fatal (the whole body was already consumed off the wire).
@@ -863,28 +878,6 @@ pub fn decode_request(frame: &Frame) -> Result<WireRequest, WireError> {
             let version = d.u16("version")?;
             WireRequest::Hello { magic, version }
         }
-        FrameKind::Rank => {
-            let flags = decode_flags(&mut d)?;
-            let (list, _) = decode_list(&mut d)?;
-            WireRequest::Rank { flags, list }
-        }
-        FrameKind::Scan | FrameKind::SegScan => {
-            let flags = decode_flags(&mut d)?;
-            let op_byte = d.u8("operator")?;
-            let op = WireOp::from_u8(op_byte).ok_or(WireError {
-                code: ErrorCode::UnknownOp,
-                message: format!("operator byte {op_byte:#04x}"),
-            })?;
-            let (list, n) = decode_list(&mut d)?;
-            if kind == FrameKind::SegScan {
-                let starts = decode_starts(n, &mut d)?;
-                let values = decode_values(op, n, &mut d)?;
-                WireRequest::SegScan { flags, op, list, starts, values }
-            } else {
-                let values = decode_values(op, n, &mut d)?;
-                WireRequest::Scan { flags, op, list, values }
-            }
-        }
         FrameKind::Put => {
             let flags = d.u8("flags")?;
             if flags != 0 {
@@ -892,29 +885,6 @@ pub fn decode_request(frame: &Frame) -> Result<WireRequest, WireError> {
             }
             let (list, _) = decode_list(&mut d)?;
             WireRequest::Put { list }
-        }
-        FrameKind::RankH => {
-            let flags = decode_flags(&mut d)?;
-            let handle = d.u64("handle")?;
-            WireRequest::RankH { flags, handle }
-        }
-        FrameKind::ScanH | FrameKind::SegScanH => {
-            let flags = decode_flags(&mut d)?;
-            let op_byte = d.u8("operator")?;
-            let op = WireOp::from_u8(op_byte).ok_or(WireError {
-                code: ErrorCode::UnknownOp,
-                message: format!("operator byte {op_byte:#04x}"),
-            })?;
-            let handle = d.u64("handle")?;
-            let n = d.u32("value count")? as usize;
-            if kind == FrameKind::SegScanH {
-                let starts = decode_starts(n, &mut d)?;
-                let values = decode_values(op, n, &mut d)?;
-                WireRequest::SegScanH { flags, op, handle, starts, values }
-            } else {
-                let values = decode_values(op, n, &mut d)?;
-                WireRequest::ScanH { flags, op, handle, values }
-            }
         }
         FrameKind::Drop => {
             let handle = d.u64("handle")?;
@@ -932,9 +902,7 @@ pub fn decode_request(frame: &Frame) -> Result<WireRequest, WireError> {
         FrameKind::Stats => WireRequest::Stats,
         FrameKind::StatsV2 => WireRequest::StatsV2,
         FrameKind::Shutdown => WireRequest::Shutdown,
-        other => {
-            return Err(WireError::malformed(format!("{other:?} is a server→client frame kind")))
-        }
+        job => WireRequest::Job(decode_job(job, &mut d)?),
     };
     d.finish()?;
     Ok(req)
@@ -974,23 +942,88 @@ fn push_flags(b: &mut Vec<u8>, flags: &ReqFlags) {
     }
 }
 
-/// RANK body: flags + the list's head/length/successor array.
-pub fn rank_body(list: &LinkedList, sharded: bool) -> Vec<u8> {
-    rank_body_flags(list, ReqFlags::sharded(sharded))
+/// Pack segment-start flags LSB-first, 8 per byte.
+pub fn pack_starts(starts: &[bool]) -> Vec<u8> {
+    let mut raw = vec![0u8; starts.len().div_ceil(8)];
+    for (v, &s) in starts.iter().enumerate() {
+        if s {
+            raw[v / 8] |= 1 << (v % 8);
+        }
+    }
+    raw
 }
 
-/// [`rank_body`] with an optional queue deadline (protocol v5).
-pub fn rank_body_deadline(list: &LinkedList, sharded: bool, deadline_ms: Option<u64>) -> Vec<u8> {
-    rank_body_flags(list, ReqFlags { sharded, deadline_ms, ..ReqFlags::default() })
-}
-
-/// [`rank_body`] with the full v6 flags prefix (QoS class,
-/// pipelining id).
-pub fn rank_body_flags(list: &LinkedList, flags: ReqFlags) -> Vec<u8> {
-    let mut b = Vec::with_capacity(17 + 8 + 4 * list.len());
-    push_flags(&mut b, &flags);
+/// PUT body: a reserved flags byte (must be zero) + the list's
+/// head/length/successor array.
+pub fn put_body(list: &LinkedList) -> Vec<u8> {
+    let mut b = Vec::with_capacity(1 + 8 + 4 * list.len());
+    b.push(0);
     put_list(list, &mut b);
     b
+}
+
+/// The borrowed mirror of [`JobSource`] the body builders encode from.
+#[derive(Clone, Copy)]
+enum Src<'a> {
+    Inline(&'a LinkedList),
+    Handle(u64),
+}
+
+/// The borrowed mirror of [`JobOp::Scan`]: operator, values, and the
+/// segment starts of a segmented scan.
+type ScanArgs<'a, T> = (WireOp, &'a [T], Option<&'a [bool]>);
+
+/// The one job-body encoder, mirroring [`decode_job`]: the flags
+/// prefix, the operator (scans), the source — the list, or the handle
+/// plus a value count for scans — then the packed start bitmap
+/// (segmented scans) and the values (scans). `scan: None` is a rank.
+///
+/// # Panics
+/// Panics if `T`'s wire width does not match the operator, or if the
+/// starts and values lengths differ (caught here rather than as a
+/// server-side malformed-frame error).
+fn job_body<T: WireElem>(flags: ReqFlags, src: Src<'_>, scan: Option<ScanArgs<'_, T>>) -> Vec<u8> {
+    let n = scan.map_or(0, |(_, values, _)| values.len());
+    let src_bytes = match src {
+        Src::Inline(list) => 8 + 4 * list.len(),
+        Src::Handle(_) => 12,
+    };
+    let mut b = Vec::with_capacity(18 + src_bytes + n.div_ceil(8) + T::BYTES * n);
+    push_flags(&mut b, &flags);
+    if let Some((op, _, _)) = scan {
+        assert_eq!(T::BYTES, op.elem_bytes(), "element width must match the wire operator");
+        b.push(op as u8);
+    }
+    match src {
+        Src::Inline(list) => put_list(list, &mut b),
+        Src::Handle(handle) => {
+            b.extend_from_slice(&handle.to_le_bytes());
+            if scan.is_some() {
+                b.extend_from_slice(&(n as u32).to_le_bytes());
+            }
+        }
+    }
+    if let Some((_, values, starts)) = scan {
+        if let Some(starts) = starts {
+            assert_eq!(starts.len(), values.len(), "one start flag per value");
+            b.extend_from_slice(&pack_starts(starts));
+        }
+        for &v in values {
+            v.put(&mut b);
+        }
+    }
+    b
+}
+
+/// RANK body: flags + the list's head/length/successor array.
+pub fn rank_body(list: &LinkedList, sharded: bool) -> Vec<u8> {
+    job_body::<u64>(ReqFlags::sharded(sharded), Src::Inline(list), None)
+}
+
+/// [`rank_body`] with the full flags prefix (deadline, QoS class,
+/// pipelining id).
+pub fn rank_body_flags(list: &LinkedList, flags: ReqFlags) -> Vec<u8> {
+    job_body::<u64>(flags, Src::Inline(list), None)
 }
 
 /// SCAN body: flags + operator + list + values.
@@ -1004,24 +1037,10 @@ pub fn scan_body<T: WireElem>(
     op: WireOp,
     sharded: bool,
 ) -> Vec<u8> {
-    scan_body_flags(list, values, op, ReqFlags::sharded(sharded))
+    job_body(ReqFlags::sharded(sharded), Src::Inline(list), Some((op, values, None)))
 }
 
-/// [`scan_body`] with an optional queue deadline (protocol v5).
-///
-/// # Panics
-/// Panics if `T`'s wire width does not match `op`.
-pub fn scan_body_deadline<T: WireElem>(
-    list: &LinkedList,
-    values: &[T],
-    op: WireOp,
-    sharded: bool,
-    deadline_ms: Option<u64>,
-) -> Vec<u8> {
-    scan_body_flags(list, values, op, ReqFlags { sharded, deadline_ms, ..ReqFlags::default() })
-}
-
-/// [`scan_body`] with the full v6 flags prefix.
+/// [`scan_body`] with the full flags prefix.
 ///
 /// # Panics
 /// Panics if `T`'s wire width does not match `op`.
@@ -1031,26 +1050,7 @@ pub fn scan_body_flags<T: WireElem>(
     op: WireOp,
     flags: ReqFlags,
 ) -> Vec<u8> {
-    assert_eq!(T::BYTES, op.elem_bytes(), "element width must match the wire operator");
-    let mut b = Vec::with_capacity(18 + 8 + 4 * list.len() + T::BYTES * values.len());
-    push_flags(&mut b, &flags);
-    b.push(op as u8);
-    put_list(list, &mut b);
-    for &v in values {
-        v.put(&mut b);
-    }
-    b
-}
-
-/// Pack segment-start flags LSB-first, 8 per byte.
-pub fn pack_starts(starts: &[bool]) -> Vec<u8> {
-    let mut raw = vec![0u8; starts.len().div_ceil(8)];
-    for (v, &s) in starts.iter().enumerate() {
-        if s {
-            raw[v / 8] |= 1 << (v % 8);
-        }
-    }
-    raw
+    job_body(flags, Src::Inline(list), Some((op, values, None)))
 }
 
 /// SEGSCAN body: flags + operator + list + packed start bitmap +
@@ -1058,8 +1058,7 @@ pub fn pack_starts(starts: &[bool]) -> Vec<u8> {
 ///
 /// # Panics
 /// Panics if `T`'s wire width does not match `op`, or if `starts` and
-/// `values` lengths differ (caught here rather than as a server-side
-/// malformed-frame error).
+/// `values` lengths differ.
 pub fn segscan_body<T: WireElem>(
     list: &LinkedList,
     starts: &[bool],
@@ -1067,32 +1066,10 @@ pub fn segscan_body<T: WireElem>(
     op: WireOp,
     sharded: bool,
 ) -> Vec<u8> {
-    segscan_body_flags(list, starts, values, op, ReqFlags::sharded(sharded))
+    job_body(ReqFlags::sharded(sharded), Src::Inline(list), Some((op, values, Some(starts))))
 }
 
-/// [`segscan_body`] with an optional queue deadline (protocol v5).
-///
-/// # Panics
-/// Panics if `T`'s wire width does not match `op`, or if `starts` and
-/// `values` lengths differ.
-pub fn segscan_body_deadline<T: WireElem>(
-    list: &LinkedList,
-    starts: &[bool],
-    values: &[T],
-    op: WireOp,
-    sharded: bool,
-    deadline_ms: Option<u64>,
-) -> Vec<u8> {
-    segscan_body_flags(
-        list,
-        starts,
-        values,
-        op,
-        ReqFlags { sharded, deadline_ms, ..ReqFlags::default() },
-    )
-}
-
-/// [`segscan_body`] with the full v6 flags prefix.
+/// [`segscan_body`] with the full flags prefix.
 ///
 /// # Panics
 /// Panics if `T`'s wire width does not match `op`, or if `starts` and
@@ -1104,46 +1081,17 @@ pub fn segscan_body_flags<T: WireElem>(
     op: WireOp,
     flags: ReqFlags,
 ) -> Vec<u8> {
-    assert_eq!(T::BYTES, op.elem_bytes(), "element width must match the wire operator");
-    assert_eq!(starts.len(), values.len(), "one start flag per value");
-    let mut b = Vec::with_capacity(
-        18 + 8 + 4 * list.len() + starts.len().div_ceil(8) + T::BYTES * values.len(),
-    );
-    push_flags(&mut b, &flags);
-    b.push(op as u8);
-    put_list(list, &mut b);
-    b.extend_from_slice(&pack_starts(starts));
-    for &v in values {
-        v.put(&mut b);
-    }
-    b
-}
-
-/// PUT body: a reserved flags byte (must be zero) + the list's
-/// head/length/successor array.
-pub fn put_body(list: &LinkedList) -> Vec<u8> {
-    let mut b = Vec::with_capacity(1 + 8 + 4 * list.len());
-    b.push(0);
-    put_list(list, &mut b);
-    b
+    job_body(flags, Src::Inline(list), Some((op, values, Some(starts))))
 }
 
 /// RANK_H body: flags + dataset handle.
 pub fn rank_h_body(handle: u64, sharded: bool) -> Vec<u8> {
-    rank_h_body_flags(handle, ReqFlags::sharded(sharded))
+    job_body::<u64>(ReqFlags::sharded(sharded), Src::Handle(handle), None)
 }
 
-/// [`rank_h_body`] with an optional queue deadline (protocol v5).
-pub fn rank_h_body_deadline(handle: u64, sharded: bool, deadline_ms: Option<u64>) -> Vec<u8> {
-    rank_h_body_flags(handle, ReqFlags { sharded, deadline_ms, ..ReqFlags::default() })
-}
-
-/// [`rank_h_body`] with the full v6 flags prefix.
+/// [`rank_h_body`] with the full flags prefix.
 pub fn rank_h_body_flags(handle: u64, flags: ReqFlags) -> Vec<u8> {
-    let mut b = Vec::with_capacity(25);
-    push_flags(&mut b, &flags);
-    b.extend_from_slice(&handle.to_le_bytes());
-    b
+    job_body::<u64>(flags, Src::Handle(handle), None)
 }
 
 /// SCAN_H body: flags + operator + dataset handle + value count +
@@ -1153,24 +1101,10 @@ pub fn rank_h_body_flags(handle: u64, flags: ReqFlags) -> Vec<u8> {
 /// Panics if `T`'s wire width does not match `op` — the typed
 /// [`crate::client::Client`] methods make that impossible.
 pub fn scan_h_body<T: WireElem>(handle: u64, values: &[T], op: WireOp, sharded: bool) -> Vec<u8> {
-    scan_h_body_flags(handle, values, op, ReqFlags::sharded(sharded))
+    job_body(ReqFlags::sharded(sharded), Src::Handle(handle), Some((op, values, None)))
 }
 
-/// [`scan_h_body`] with an optional queue deadline (protocol v5).
-///
-/// # Panics
-/// Panics if `T`'s wire width does not match `op`.
-pub fn scan_h_body_deadline<T: WireElem>(
-    handle: u64,
-    values: &[T],
-    op: WireOp,
-    sharded: bool,
-    deadline_ms: Option<u64>,
-) -> Vec<u8> {
-    scan_h_body_flags(handle, values, op, ReqFlags { sharded, deadline_ms, ..ReqFlags::default() })
-}
-
-/// [`scan_h_body`] with the full v6 flags prefix.
+/// [`scan_h_body`] with the full flags prefix.
 ///
 /// # Panics
 /// Panics if `T`'s wire width does not match `op`.
@@ -1180,16 +1114,7 @@ pub fn scan_h_body_flags<T: WireElem>(
     op: WireOp,
     flags: ReqFlags,
 ) -> Vec<u8> {
-    assert_eq!(T::BYTES, op.elem_bytes(), "element width must match the wire operator");
-    let mut b = Vec::with_capacity(30 + T::BYTES * values.len());
-    push_flags(&mut b, &flags);
-    b.push(op as u8);
-    b.extend_from_slice(&handle.to_le_bytes());
-    b.extend_from_slice(&(values.len() as u32).to_le_bytes());
-    for &v in values {
-        v.put(&mut b);
-    }
-    b
+    job_body(flags, Src::Handle(handle), Some((op, values, None)))
 }
 
 /// SEGSCAN_H body: flags + operator + dataset handle + value count +
@@ -1205,32 +1130,10 @@ pub fn segscan_h_body<T: WireElem>(
     op: WireOp,
     sharded: bool,
 ) -> Vec<u8> {
-    segscan_h_body_flags(handle, starts, values, op, ReqFlags::sharded(sharded))
+    job_body(ReqFlags::sharded(sharded), Src::Handle(handle), Some((op, values, Some(starts))))
 }
 
-/// [`segscan_h_body`] with an optional queue deadline (protocol v5).
-///
-/// # Panics
-/// Panics if `T`'s wire width does not match `op`, or if `starts` and
-/// `values` lengths differ.
-pub fn segscan_h_body_deadline<T: WireElem>(
-    handle: u64,
-    starts: &[bool],
-    values: &[T],
-    op: WireOp,
-    sharded: bool,
-    deadline_ms: Option<u64>,
-) -> Vec<u8> {
-    segscan_h_body_flags(
-        handle,
-        starts,
-        values,
-        op,
-        ReqFlags { sharded, deadline_ms, ..ReqFlags::default() },
-    )
-}
-
-/// [`segscan_h_body`] with the full v6 flags prefix.
+/// [`segscan_h_body`] with the full flags prefix.
 ///
 /// # Panics
 /// Panics if `T`'s wire width does not match `op`, or if `starts` and
@@ -1242,18 +1145,7 @@ pub fn segscan_h_body_flags<T: WireElem>(
     op: WireOp,
     flags: ReqFlags,
 ) -> Vec<u8> {
-    assert_eq!(T::BYTES, op.elem_bytes(), "element width must match the wire operator");
-    assert_eq!(starts.len(), values.len(), "one start flag per value");
-    let mut b = Vec::with_capacity(30 + starts.len().div_ceil(8) + T::BYTES * values.len());
-    push_flags(&mut b, &flags);
-    b.push(op as u8);
-    b.extend_from_slice(&handle.to_le_bytes());
-    b.extend_from_slice(&(values.len() as u32).to_le_bytes());
-    b.extend_from_slice(&pack_starts(starts));
-    for &v in values {
-        v.put(&mut b);
-    }
-    b
+    job_body(flags, Src::Handle(handle), Some((op, values, Some(starts))))
 }
 
 /// DROP body: the dataset handle.

@@ -17,8 +17,7 @@
 //!   [`FrameKind::OutputP`] / [`FrameKind::ErrorP`] frames echoing the
 //!   id, in *completion* order. Requests without an id keep the
 //!   classic serial contract — they wait for the connection's
-//!   in-flight set to drain and block further parsing until answered,
-//!   so v2–v5 clients observe exactly the old behavior.
+//!   in-flight set to drain and block further parsing until answered.
 //! * **QoS (v6).** [`protocol::FLAG_BATCH`] routes a job to the batch
 //!   class of the two-class scheduler ([`crate::sched`]): interactive
 //!   work dispatches first, deadline-carrying jobs order first within
@@ -53,14 +52,14 @@ use crate::fault::FaultPlane;
 use crate::job::{JobError, JobOptions, JobReport, Request};
 use crate::poll::{poll, PollFd, POLLIN, POLLOUT};
 use crate::protocol::{
-    self, error_body, pipelined_body, ErrorCode, FaultGauges, Frame, FrameKind, MutGauges,
-    ReqFlags, SchedGauges, StatsGauges, StoreGauges, WireElem, WireMutateOk, WireOp, WireRequest,
-    WireStats, WireStatsV2, WireValues, MAX_FRAME_DEFAULT,
+    self, error_body, pipelined_body, ErrorCode, FaultGauges, Frame, FrameKind, JobOp, JobSource,
+    MutGauges, SchedGauges, StatsGauges, StoreGauges, WireElem, WireJob, WireMutateOk, WireOp,
+    WireRequest, WireStats, WireStatsV2, WireValues, MAX_FRAME_DEFAULT,
 };
 use crate::queue::SubmitError;
 use crate::rankd_log;
 use crate::sched::{Priority, QuotaTable};
-use crate::store::{ArtifactCache, DatasetRef, DatasetStore, StoreError, DEFAULT_STORE_BUDGET};
+use crate::store::{DatasetRef, DatasetStore, StoreError, DEFAULT_STORE_BUDGET};
 use crate::telemetry::log::Level;
 use crate::telemetry::{self, AtomicHistogram, Phase};
 use listkit::ops::{AddOp, AffineOp, MaxOp, MinOp, XorOp};
@@ -706,130 +705,48 @@ impl ListSource {
         }
     }
 
-    fn warm(&self) -> Option<Arc<ArtifactCache>> {
+    /// Attach the resident dataset's artifact cache, if any.
+    fn warm<R>(&self, req: Request<R>) -> Request<R> {
         match self {
-            ListSource::Inline(_) => None,
-            ListSource::Resident(e) => Some(e.artifacts()),
+            ListSource::Inline(_) => req,
+            ListSource::Resident(e) => req.with_artifacts(e.artifacts()),
         }
     }
 }
 
-fn rank_sub(
+/// The one submit path for every job frame: a rank, or a scan typed by
+/// its `(op, values)` pair — segmented exactly when `starts` is present.
+fn job_submit(
     src: ListSource,
+    job: JobOp,
     sharded: bool,
     opts: JobOptions,
     ctx: ReplyCtx,
     hub: Arc<Hub>,
 ) -> SubmitFn {
-    submit_fn(
-        move || {
+    let JobOp::Scan { op, values, starts } = job else {
+        let build = move || {
             let list = src.list();
-            let req = if sharded { Request::rank_sharded(list) } else { Request::rank(list) };
-            match src.warm() {
-                Some(w) => req.with_artifacts(w),
-                None => req,
-            }
-        },
-        opts,
-        ctx,
-        hub,
-    )
-}
-
-fn scan_sub<T, Op>(
-    src: ListSource,
-    values: Arc<Vec<T>>,
-    op: Op,
-    sharded: bool,
-    opts: JobOptions,
-    ctx: ReplyCtx,
-    hub: Arc<Hub>,
-) -> SubmitFn
-where
-    T: WireElem + Copy + Send + Sync + 'static,
-    Op: listkit::ScanOp<T> + Clone + Send + Sync + 'static,
-{
-    submit_fn(
-        move || {
-            let list = src.list();
-            let values = Arc::clone(&values);
-            let req = if sharded {
-                Request::scan_sharded(list, values, op.clone())
-            } else {
-                Request::scan(list, values, op.clone())
-            };
-            match src.warm() {
-                Some(w) => req.with_artifacts(w),
-                None => req,
-            }
-        },
-        opts,
-        ctx,
-        hub,
-    )
-}
-
-#[allow(clippy::too_many_arguments)]
-fn seg_sub<T, Op>(
-    src: ListSource,
-    values: Arc<Vec<T>>,
-    starts: Arc<Vec<bool>>,
-    op: Op,
-    sharded: bool,
-    opts: JobOptions,
-    ctx: ReplyCtx,
-    hub: Arc<Hub>,
-) -> SubmitFn
-where
-    T: WireElem + Copy + Send + Sync + 'static,
-    Op: listkit::ScanOp<T> + Clone + Send + Sync + 'static,
-{
-    submit_fn(
-        move || {
-            let list = src.list();
-            let values = Arc::clone(&values);
-            let starts = Arc::clone(&starts);
-            let req = if sharded {
-                Request::segmented_scan_sharded(list, values, starts, op.clone())
-            } else {
-                Request::segmented_scan(list, values, starts, op.clone())
-            };
-            match src.warm() {
-                Some(w) => req.with_artifacts(w),
-                None => req,
-            }
-        },
-        opts,
-        ctx,
-        hub,
-    )
-}
-
-/// Route a SCAN's `(op, values)` pair to the typed submit builder.
-fn scan_any(
-    src: ListSource,
-    op: WireOp,
-    values: WireValues,
-    sharded: bool,
-    opts: JobOptions,
-    ctx: ReplyCtx,
-    hub: Arc<Hub>,
-) -> SubmitFn {
+            src.warm(if sharded { Request::rank_sharded(list) } else { Request::rank(list) })
+        };
+        return submit_fn(build, opts, ctx, hub);
+    };
+    let starts = starts.map(Arc::new);
     match (op, values) {
         (WireOp::Add, WireValues::I64(v)) => {
-            scan_sub(src, Arc::new(v), AddOp, sharded, opts, ctx, hub)
+            submit_fn(scan_request(src, v, starts, AddOp, sharded), opts, ctx, hub)
         }
         (WireOp::Max, WireValues::I64(v)) => {
-            scan_sub(src, Arc::new(v), MaxOp, sharded, opts, ctx, hub)
+            submit_fn(scan_request(src, v, starts, MaxOp, sharded), opts, ctx, hub)
         }
         (WireOp::Min, WireValues::I64(v)) => {
-            scan_sub(src, Arc::new(v), MinOp, sharded, opts, ctx, hub)
+            submit_fn(scan_request(src, v, starts, MinOp, sharded), opts, ctx, hub)
         }
         (WireOp::Xor, WireValues::U64(v)) => {
-            scan_sub(src, Arc::new(v), XorOp, sharded, opts, ctx, hub)
+            submit_fn(scan_request(src, v, starts, XorOp, sharded), opts, ctx, hub)
         }
         (WireOp::Affine, WireValues::Affine(v)) => {
-            scan_sub(src, Arc::new(v), AffineOp, sharded, opts, ctx, hub)
+            submit_fn(scan_request(src, v, starts, AffineOp, sharded), opts, ctx, hub)
         }
         // decode_values types the array by the operator, so a
         // mismatch cannot be constructed.
@@ -837,41 +754,33 @@ fn scan_any(
     }
 }
 
-/// Route a SEG_SCAN's `(op, values)` pair to the typed submit builder.
-#[allow(clippy::too_many_arguments)]
-fn seg_any(
+/// The typed request builder behind [`job_submit`]'s scan arms.
+fn scan_request<T, Op>(
     src: ListSource,
-    op: WireOp,
-    starts: Arc<Vec<bool>>,
-    values: WireValues,
+    values: Vec<T>,
+    starts: Option<Arc<Vec<bool>>>,
+    op: Op,
     sharded: bool,
-    opts: JobOptions,
-    ctx: ReplyCtx,
-    hub: Arc<Hub>,
-) -> SubmitFn {
-    match (op, values) {
-        (WireOp::Add, WireValues::I64(v)) => {
-            seg_sub(src, Arc::new(v), starts, AddOp, sharded, opts, ctx, hub)
-        }
-        (WireOp::Max, WireValues::I64(v)) => {
-            seg_sub(src, Arc::new(v), starts, MaxOp, sharded, opts, ctx, hub)
-        }
-        (WireOp::Min, WireValues::I64(v)) => {
-            seg_sub(src, Arc::new(v), starts, MinOp, sharded, opts, ctx, hub)
-        }
-        (WireOp::Xor, WireValues::U64(v)) => {
-            seg_sub(src, Arc::new(v), starts, XorOp, sharded, opts, ctx, hub)
-        }
-        (WireOp::Affine, WireValues::Affine(v)) => {
-            seg_sub(src, Arc::new(v), starts, AffineOp, sharded, opts, ctx, hub)
-        }
-        _ => unreachable!("decoder pairs values with their operator"),
+) -> impl Fn() -> Request<Vec<T>> + 'static
+where
+    T: WireElem + Send + Sync + 'static,
+    Op: listkit::ScanOp<T> + Clone + Send + Sync + 'static,
+{
+    let values = Arc::new(values);
+    move || {
+        let (list, values, op) = (src.list(), Arc::clone(&values), op.clone());
+        src.warm(match (&starts, sharded) {
+            (None, false) => Request::scan(list, values, op),
+            (None, true) => Request::scan_sharded(list, values, op),
+            (Some(s), false) => Request::segmented_scan(list, values, Arc::clone(s), op),
+            (Some(s), true) => Request::segmented_scan_sharded(list, values, Arc::clone(s), op),
+        })
     }
 }
 
 /// One connection's state in the reactor: the socket, partial-frame
-/// read buffer, pending-reply write buffer, negotiated version, and
-/// the pipelining in-flight set.
+/// read buffer, pending-reply write buffer, handshake state, and the
+/// pipelining in-flight set.
 struct Conn {
     id: u64,
     sock: Transport,
@@ -882,12 +791,12 @@ struct Conn {
     /// socket accepted.
     wbuf: Vec<u8>,
     wpos: usize,
-    /// The version the HELLO negotiated (None until then).
-    negotiated: Option<u16>,
+    /// Whether a HELLO has been accepted on this connection.
+    hello_seen: bool,
     /// In-flight pipelined requests: request id → arrival sequence.
     inflight: HashMap<u64, u64>,
     /// Whether a serial (no-request-id) job is in flight; parsing
-    /// pauses until its reply is written, preserving the v2–v5
+    /// pauses until its reply is written, preserving the serial
     /// one-at-a-time contract.
     serial_inflight: bool,
     /// Parked work (full queue, or a frame waiting for in-flight
@@ -916,7 +825,7 @@ impl Conn {
             rpos: 0,
             wbuf: Vec::new(),
             wpos: 0,
-            negotiated: None,
+            hello_seen: false,
             inflight: HashMap::new(),
             serial_inflight: false,
             stalled: None,
@@ -1398,50 +1307,7 @@ impl Reactor {
             }
         };
         let decode_ns = t_decode.elapsed().as_nanos() as u64;
-        let flags = match &req {
-            WireRequest::Rank { flags, .. }
-            | WireRequest::Scan { flags, .. }
-            | WireRequest::SegScan { flags, .. }
-            | WireRequest::RankH { flags, .. }
-            | WireRequest::ScanH { flags, .. }
-            | WireRequest::SegScanH { flags, .. } => Some(*flags),
-            _ => None,
-        };
-        let negotiated = self.conns.get(&conn_id).and_then(|c| c.negotiated);
-        // Versioned request features: a connection that negotiated
-        // lower and sends them anyway is speaking a protocol it did
-        // not agree to, so the frame is malformed (the connection
-        // survives — framing is intact). Pre-HELLO frames fall through
-        // to the EXPECTED_HELLO arm below instead.
-        if let Some(f) = flags {
-            if f.deadline_ms.is_some() && negotiated.is_some_and(|v| v < 5) {
-                self.reply_error(
-                    conn_id,
-                    None,
-                    ErrorCode::Malformed,
-                    "FLAG_DEADLINE requires a v5 handshake",
-                );
-                return;
-            }
-            if f.batch && negotiated.is_some_and(|v| v < 6) {
-                self.reply_error(
-                    conn_id,
-                    None,
-                    ErrorCode::Malformed,
-                    "FLAG_BATCH requires a v6 handshake",
-                );
-                return;
-            }
-            if f.request_id.is_some() && negotiated.is_some_and(|v| v < 6) {
-                self.reply_error(
-                    conn_id,
-                    None,
-                    ErrorCode::Malformed,
-                    "FLAG_REQUEST_ID requires a v6 handshake",
-                );
-                return;
-            }
-        }
+        let hello_seen = self.conns.get(&conn_id).is_some_and(|c| c.hello_seen);
         match req {
             WireRequest::Hello { magic, version } => {
                 if magic != protocol::MAGIC {
@@ -1453,11 +1319,6 @@ impl Reactor {
                     );
                     return;
                 }
-                // v3..v6 are purely additive over v2, so
-                // older-but-compatible clients are served; they simply
-                // never send handle, mutation, deadline, or pipelining
-                // frames. HELLO_OK still carries the server's version
-                // so a newer client knows what it may use.
                 if !(protocol::MIN_VERSION..=protocol::VERSION).contains(&version) {
                     self.close_after_reply(
                         conn_id,
@@ -1472,14 +1333,14 @@ impl Reactor {
                     return;
                 }
                 if let Some(conn) = self.conns.get_mut(&conn_id) {
-                    conn.negotiated = Some(version);
+                    conn.hello_seen = true;
                 }
                 // Advertise the cap this server actually enforces
                 // (ServeConfig::max_frame), not the protocol default.
                 let body = protocol::hello_ok_body(protocol::VERSION, self.cfg.max_frame);
                 self.enqueue_reply(conn_id, FrameKind::HelloOk, &body, false);
             }
-            _ if negotiated.is_none() => {
+            _ if !hello_seen => {
                 self.reply_error(
                     conn_id,
                     None,
@@ -1516,10 +1377,7 @@ impl Reactor {
                     .unwrap_or(false);
                 if busy {
                     if let Some(conn) = self.conns.get_mut(&conn_id) {
-                        conn.stalled = Some(Stalled::Frame(Frame {
-                            kind: frame.kind,
-                            body: frame.body.clone(),
-                        }));
+                        conn.stalled = Some(Stalled::Frame(frame.clone()));
                     }
                     return;
                 }
@@ -1531,18 +1389,7 @@ impl Reactor {
                     _ => unreachable!("outer match narrowed to MUTATE/DROP"),
                 }
             }
-            WireRequest::Rank { .. }
-            | WireRequest::Scan { .. }
-            | WireRequest::SegScan { .. }
-            | WireRequest::RankH { .. }
-            | WireRequest::ScanH { .. }
-            | WireRequest::SegScanH { .. } => self.dispatch_job(
-                conn_id,
-                frame,
-                req,
-                flags.expect("job frames carry flags"),
-                decode_ns,
-            ),
+            WireRequest::Job(job) => self.dispatch_job(conn_id, frame, job, decode_ns),
         }
     }
 
@@ -1660,14 +1507,8 @@ impl Reactor {
     }
 
     /// Admission-control and submit one job-bearing request.
-    fn dispatch_job(
-        &mut self,
-        conn_id: u64,
-        frame: &Frame,
-        req: WireRequest,
-        flags: ReqFlags,
-        decode_ns: u64,
-    ) {
+    fn dispatch_job(&mut self, conn_id: u64, frame: &Frame, job: WireJob, decode_ns: u64) {
+        let WireJob { flags, source, op } = job;
         // Serial jobs behind pipelined traffic wait for the in-flight
         // set to drain (park the frame — no side effects yet), so
         // their one-at-a-time reply contract holds. Checked before
@@ -1676,8 +1517,7 @@ impl Reactor {
         let dup = {
             let Some(conn) = self.conns.get_mut(&conn_id) else { return };
             if flags.request_id.is_none() && !conn.inflight.is_empty() {
-                conn.stalled =
-                    Some(Stalled::Frame(Frame { kind: frame.kind, body: frame.body.clone() }));
+                conn.stalled = Some(Stalled::Frame(frame.clone()));
                 return;
             }
             flags.request_id.filter(|id| conn.inflight.contains_key(id))
@@ -1748,62 +1588,17 @@ impl Reactor {
             trace_id,
             _pin: None,
         };
-        let hub = Arc::clone(&self.hub);
-        let submit: SubmitFn = match req {
-            WireRequest::Rank { list, .. } => {
-                rank_sub(ListSource::Inline(Arc::new(list)), flags.sharded, opts, ctx, hub)
-            }
-            WireRequest::Scan { op, list, values, .. } => scan_any(
-                ListSource::Inline(Arc::new(list)),
-                op,
-                values,
-                flags.sharded,
-                opts,
-                ctx,
-                hub,
-            ),
-            WireRequest::SegScan { op, list, starts, values, .. } => seg_any(
-                ListSource::Inline(Arc::new(list)),
-                op,
-                Arc::new(starts),
-                values,
-                flags.sharded,
-                opts,
-                ctx,
-                hub,
-            ),
-            WireRequest::RankH { handle, .. } => {
+        let src = match source {
+            JobSource::Inline(list) => ListSource::Inline(Arc::new(list)),
+            JobSource::Handle(handle) => {
                 let Some(pin) = self.resolve_pin(conn_id, handle, flags.request_id) else {
                     return;
                 };
                 ctx._pin = Some(Arc::clone(&pin));
-                rank_sub(ListSource::Resident(pin), flags.sharded, opts, ctx, hub)
+                ListSource::Resident(pin)
             }
-            WireRequest::ScanH { op, handle, values, .. } => {
-                let Some(pin) = self.resolve_pin(conn_id, handle, flags.request_id) else {
-                    return;
-                };
-                ctx._pin = Some(Arc::clone(&pin));
-                scan_any(ListSource::Resident(pin), op, values, flags.sharded, opts, ctx, hub)
-            }
-            WireRequest::SegScanH { op, handle, starts, values, .. } => {
-                let Some(pin) = self.resolve_pin(conn_id, handle, flags.request_id) else {
-                    return;
-                };
-                ctx._pin = Some(Arc::clone(&pin));
-                seg_any(
-                    ListSource::Resident(pin),
-                    op,
-                    Arc::new(starts),
-                    values,
-                    flags.sharded,
-                    opts,
-                    ctx,
-                    hub,
-                )
-            }
-            _ => unreachable!("dispatch routes only job-bearing frames here"),
         };
+        let submit = job_submit(src, op, flags.sharded, opts, ctx, Arc::clone(&self.hub));
         self.attempt_submit(conn_id, submit, flags.request_id, arrival_seq);
     }
 

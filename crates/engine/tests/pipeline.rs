@@ -1,14 +1,13 @@
 //! Pipelining differential tests (protocol v6): one connection, many
 //! requests in flight, replies in completion order — every reply
-//! byte-identical to what a serial v5-style conversation produces for
+//! byte-identical to what a serial (id-less) conversation produces for
 //! the same request, matched back by `request_id`.
 //!
 //! Also pinned here: the adversarial client that stops reading replies
 //! mid-pipeline (write backpressure must stall that one connection,
 //! never the reactor), duplicate / zero request ids rejected as typed
-//! malformed, v6 flags refused on v5 handshakes, and both per-tenant
-//! quotas (in-flight jobs, resident store bytes) answering typed
-//! `quota_exceeded`.
+//! malformed, and both per-tenant quotas (in-flight jobs, resident
+//! store bytes) answering typed `quota_exceeded`.
 #![cfg(unix)]
 
 use engine::client::Client;
@@ -364,51 +363,6 @@ fn request_id_zero_is_reserved() {
     // Connection survives; a well-formed request still works.
     protocol::write_frame(&mut stream, FrameKind::Rank as u8, &protocol::rank_body(&list, false))
         .expect("write");
-    let f = read_one(&mut stream);
-    assert_eq!(FrameKind::from_u8(f.kind), Some(FrameKind::Output));
-
-    drop(stream);
-    server.stop();
-}
-
-/// The v6 flag bits are version-gated: a connection that negotiated a
-/// v5 HELLO gets typed malformed for FLAG_BATCH and FLAG_REQUEST_ID,
-/// and keeps serving v5 traffic afterwards.
-#[test]
-fn v6_flags_require_a_v6_handshake() {
-    let server = start("gate", small_engine(), |c| c);
-    let mut stream = UnixStream::connect(&server.path).expect("connect");
-
-    // Handshake as a v5 client.
-    let mut hello = Vec::new();
-    hello.extend_from_slice(&protocol::MAGIC.to_le_bytes());
-    hello.extend_from_slice(&5u16.to_le_bytes());
-    protocol::write_frame(&mut stream, FrameKind::Hello as u8, &hello).expect("hello v5");
-    let f = read_one(&mut stream);
-    assert_eq!(FrameKind::from_u8(f.kind), Some(FrameKind::HelloOk));
-
-    let list = gen::random_list(16, 4);
-    for (flags, what) in [
-        (ReqFlags::default().with_batch(), "FLAG_BATCH"),
-        (ReqFlags::default().with_request_id(3), "FLAG_REQUEST_ID"),
-    ] {
-        let body = protocol::rank_body_flags(&list, flags);
-        protocol::write_frame(&mut stream, FrameKind::Rank as u8, &body).expect("write");
-        let f = read_one(&mut stream);
-        assert_eq!(FrameKind::from_u8(f.kind), Some(FrameKind::Error), "{what} must be refused");
-        let (_, code, msg) = protocol::decode_error(&f.body).expect("error decodes");
-        assert_eq!(code, Some(ErrorCode::Malformed), "{what}: {msg}");
-        assert!(msg.contains(what), "unexpected message: {msg}");
-        assert!(msg.contains("v6 handshake"), "unexpected message: {msg}");
-    }
-
-    // Still a working v5 connection (deadline flag is v5-legal).
-    protocol::write_frame(
-        &mut stream,
-        FrameKind::Rank as u8,
-        &protocol::rank_body_deadline(&list, false, Some(60_000)),
-    )
-    .expect("write");
     let f = read_one(&mut stream);
     assert_eq!(FrameKind::from_u8(f.kind), Some(FrameKind::Output));
 

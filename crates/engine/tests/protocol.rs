@@ -5,8 +5,8 @@
 //! document is updated to match.
 
 use engine::protocol::{
-    self, ErrorCode, Frame, FrameKind, OutputMeta, WireOp, WireRequest, WireValues, MAGIC,
-    MAX_FRAME_DEFAULT, VERSION,
+    self, ErrorCode, Frame, FrameKind, JobOp, JobSource, OutputMeta, ReqFlags, WireElem, WireJob,
+    WireOp, WireRequest, WireValues, MAGIC, MAX_FRAME_DEFAULT, VERSION,
 };
 use listkit::ops::Affine;
 use listkit::LinkedList;
@@ -266,6 +266,14 @@ fn framed(kind: FrameKind, body: &[u8]) -> Vec<u8> {
     out
 }
 
+/// Decode a job frame, failing the test on any other request.
+fn job(frame: &Frame) -> WireJob {
+    match protocol::decode_request(frame).expect("decodes") {
+        WireRequest::Job(job) => job,
+        other => panic!("want a job, got {other:?}"),
+    }
+}
+
 /// Read exactly one frame out of a documented byte string.
 fn parse(mut bytes: &[u8]) -> Frame {
     let frame = protocol::read_frame(&mut bytes, MAX_FRAME_DEFAULT)
@@ -306,34 +314,27 @@ fn documented_rank_bytes_decode_to_the_example_list() {
     // produces for the example list.
     assert_eq!(framed(FrameKind::Rank, &protocol::rank_body(&example_list(), false)), DOC_RANK);
     // Decoder side: replaying the documented bytes yields the list.
-    let frame = parse(DOC_RANK);
-    match protocol::decode_request(&frame).expect("decodes") {
-        WireRequest::Rank { list, flags } => {
-            assert_eq!(flags, protocol::ReqFlags::default());
-            assert_eq!(list.head(), 1);
-            assert_eq!(list.links(), &[2, 0, 2]);
+    assert_eq!(
+        job(&parse(DOC_RANK)),
+        WireJob {
+            flags: ReqFlags::default(),
+            source: JobSource::Inline(example_list()),
+            op: JobOp::Rank
         }
-        other => panic!("want Rank, got {other:?}"),
-    }
+    );
 }
 
 #[test]
 fn documented_deadline_rank_bytes_round_trip() {
+    let flags = ReqFlags::default().with_deadline_ms(1500);
     assert_eq!(
-        framed(FrameKind::Rank, &protocol::rank_body_deadline(&example_list(), false, Some(1500))),
+        framed(FrameKind::Rank, &protocol::rank_body_flags(&example_list(), flags)),
         DOC_RANK_DEADLINE
     );
-    let frame = parse(DOC_RANK_DEADLINE);
-    match protocol::decode_request(&frame).expect("decodes") {
-        WireRequest::Rank { list, flags } => {
-            assert!(!flags.sharded);
-            assert_eq!(flags.deadline_ms, Some(1500));
-            assert_eq!(flags.request_id, None);
-            assert_eq!(list.head(), 1);
-            assert_eq!(list.links(), &[2, 0, 2]);
-        }
-        other => panic!("want Rank, got {other:?}"),
-    }
+    assert_eq!(
+        job(&parse(DOC_RANK_DEADLINE)),
+        WireJob { flags, source: JobSource::Inline(example_list()), op: JobOp::Rank }
+    );
 }
 
 #[test]
@@ -472,29 +473,21 @@ fn documented_put_bytes_round_trip() {
 #[test]
 fn documented_handle_query_bytes_round_trip() {
     assert_eq!(framed(FrameKind::RankH, &protocol::rank_h_body(1, false)), DOC_RANK_H);
-    let frame = parse(DOC_RANK_H);
-    match protocol::decode_request(&frame).expect("decodes") {
-        WireRequest::RankH { handle, flags } => {
-            assert_eq!(handle, 1);
-            assert_eq!(flags, protocol::ReqFlags::default());
-        }
-        other => panic!("want RankH, got {other:?}"),
-    }
+    assert_eq!(
+        job(&parse(DOC_RANK_H)),
+        WireJob { flags: ReqFlags::default(), source: JobSource::Handle(1), op: JobOp::Rank }
+    );
 
     assert_eq!(
         framed(FrameKind::ScanH, &protocol::scan_h_body(1, &[5i64, 7, 9], WireOp::Add, false)),
         DOC_SCAN_H
     );
-    let frame = parse(DOC_SCAN_H);
-    match protocol::decode_request(&frame).expect("decodes") {
-        WireRequest::ScanH { op, handle, values, flags } => {
-            assert_eq!(flags, protocol::ReqFlags::default());
-            assert_eq!(op, WireOp::Add);
-            assert_eq!(handle, 1);
-            assert_eq!(values, WireValues::I64(vec![5, 7, 9]));
-        }
-        other => panic!("want ScanH, got {other:?}"),
-    }
+    let scan =
+        |starts| JobOp::Scan { op: WireOp::Add, values: WireValues::I64(vec![5, 7, 9]), starts };
+    assert_eq!(
+        job(&parse(DOC_SCAN_H)),
+        WireJob { flags: ReqFlags::default(), source: JobSource::Handle(1), op: scan(None) }
+    );
 
     assert_eq!(
         framed(
@@ -503,17 +496,14 @@ fn documented_handle_query_bytes_round_trip() {
         ),
         DOC_SEGSCAN_H
     );
-    let frame = parse(DOC_SEGSCAN_H);
-    match protocol::decode_request(&frame).expect("decodes") {
-        WireRequest::SegScanH { op, handle, starts, values, flags } => {
-            assert_eq!(flags, protocol::ReqFlags::default());
-            assert_eq!(op, WireOp::Add);
-            assert_eq!(handle, 1);
-            assert_eq!(starts, vec![false, false, true]);
-            assert_eq!(values, WireValues::I64(vec![5, 7, 9]));
+    assert_eq!(
+        job(&parse(DOC_SEGSCAN_H)),
+        WireJob {
+            flags: ReqFlags::default(),
+            source: JobSource::Handle(1),
+            op: scan(Some(vec![false, false, true]))
         }
-        other => panic!("want SegScanH, got {other:?}"),
-    }
+    );
 }
 
 #[test]
@@ -958,17 +948,14 @@ fn documented_pipelined_bytes_round_trip() {
     );
 
     // Decoder side: flags survive the trip.
-    for (bytes, want_id, want_batch) in [(DOC_RANK_P1, 1u64, false), (DOC_RANK_P2_BATCH, 2, true)] {
-        let frame = parse(bytes);
-        match protocol::decode_request(&frame).expect("decodes") {
-            WireRequest::Rank { list, flags } => {
-                assert_eq!(flags.request_id, Some(want_id));
-                assert_eq!(flags.batch, want_batch);
-                assert_eq!(flags.deadline_ms, None);
-                assert_eq!(list.links(), &[2, 0, 2]);
-            }
-            other => panic!("want Rank, got {other:?}"),
-        }
+    for (bytes, flags) in [
+        (DOC_RANK_P1, ReqFlags::default().with_request_id(1)),
+        (DOC_RANK_P2_BATCH, ReqFlags::default().with_batch().with_request_id(2)),
+    ] {
+        assert_eq!(
+            job(&parse(bytes)),
+            WireJob { flags, source: JobSource::Inline(example_list()), op: JobOp::Rank }
+        );
     }
 
     // OUTPUT_P: the server-side composer (id + OUTPUT body) produces
@@ -1193,13 +1180,12 @@ fn scan_and_segscan_bodies_round_trip_for_every_operator() {
                 false,
             ),
         };
-        let frame = Frame { kind: FrameKind::Scan as u8, body: frame_body };
-        match protocol::decode_request(&frame).expect("scan decodes") {
-            WireRequest::Scan { op: got, list: l, values, flags } => {
-                assert_eq!(got, op);
-                assert_eq!(l.links(), list.links());
-                assert_eq!(flags.deadline_ms, None);
-                assert_eq!(flags.sharded, op == WireOp::Xor);
+        let got = job(&Frame { kind: FrameKind::Scan as u8, body: frame_body });
+        assert_eq!(got.source, JobSource::Inline(list.clone()));
+        assert_eq!(got.flags, ReqFlags::sharded(op == WireOp::Xor));
+        match got.op {
+            JobOp::Scan { op: got_op, values, starts: None } => {
+                assert_eq!(got_op, op);
                 match (op, values) {
                     (WireOp::Add | WireOp::Max | WireOp::Min, WireValues::I64(v)) => {
                         assert_eq!(v, vec![-1, 2, -3, 4])
@@ -1209,7 +1195,7 @@ fn scan_and_segscan_bodies_round_trip_for_every_operator() {
                     (op, v) => panic!("mispaired {op:?} / {v:?}"),
                 }
             }
-            other => panic!("want Scan, got {other:?}"),
+            other => panic!("want an unsegmented scan, got {other:?}"),
         }
 
         let seg_body = match op {
@@ -1225,12 +1211,120 @@ fn scan_and_segscan_bodies_round_trip_for_every_operator() {
                 false,
             ),
         };
-        let frame = Frame { kind: FrameKind::SegScan as u8, body: seg_body };
-        match protocol::decode_request(&frame).expect("segscan decodes") {
-            WireRequest::SegScan { starts: got, .. } => assert_eq!(got, starts),
+        match job(&Frame { kind: FrameKind::SegScan as u8, body: seg_body }).op {
+            JobOp::Scan { starts: got, .. } => assert_eq!(got, Some(starts.clone())),
             other => panic!("want SegScan, got {other:?}"),
         }
     }
+}
+
+/// The four scan-shaped rows (SCAN, SEGSCAN, SCAN_H, SEGSCAN_H) for
+/// one operator: the kind, the builder's body, and the job that body
+/// must decode to. Under a routing-only prefix the plain `*_body`
+/// builders must produce the same bytes as their `*_body_flags` twins.
+fn scan_rows<T: WireElem>(
+    list: &LinkedList,
+    values: &[T],
+    wire: &WireValues,
+    op: WireOp,
+    flags: ReqFlags,
+) -> [(FrameKind, Vec<u8>, WireJob); 4] {
+    let starts = [true, false, false, true];
+    let scan = |starts: Option<&[bool]>| JobOp::Scan {
+        op,
+        values: wire.clone(),
+        starts: starts.map(<[bool]>::to_vec),
+    };
+    let rows = [
+        (
+            FrameKind::Scan,
+            protocol::scan_body_flags(list, values, op, flags),
+            WireJob { flags, source: JobSource::Inline(list.clone()), op: scan(None) },
+        ),
+        (
+            FrameKind::SegScan,
+            protocol::segscan_body_flags(list, &starts, values, op, flags),
+            WireJob { flags, source: JobSource::Inline(list.clone()), op: scan(Some(&starts)) },
+        ),
+        (
+            FrameKind::ScanH,
+            protocol::scan_h_body_flags(9, values, op, flags),
+            WireJob { flags, source: JobSource::Handle(9), op: scan(None) },
+        ),
+        (
+            FrameKind::SegScanH,
+            protocol::segscan_h_body_flags(9, &starts, values, op, flags),
+            WireJob { flags, source: JobSource::Handle(9), op: scan(Some(&starts)) },
+        ),
+    ];
+    if flags == ReqFlags::sharded(flags.sharded) {
+        let plain = [
+            protocol::scan_body(list, values, op, flags.sharded),
+            protocol::segscan_body(list, &starts, values, op, flags.sharded),
+            protocol::scan_h_body(9, values, op, flags.sharded),
+            protocol::segscan_h_body(9, &starts, values, op, flags.sharded),
+        ];
+        for ((kind, body, _), plain) in rows.iter().zip(plain) {
+            assert_eq!(*body, plain, "{kind:?}: plain builder diverges from the flags builder");
+        }
+    }
+    rows
+}
+
+/// The job codec matrix: 6 job kinds × 5 operators (rank has none) ×
+/// 6 flag prefixes. Every row runs builder → `decode_request` and must
+/// give back exactly the job it encoded — including combinations no
+/// documented example replays, like SEGSCAN_H + affine + deadline +
+/// request id.
+#[test]
+fn job_codec_matrix_round_trips() {
+    let list = LinkedList::new(vec![1, 2, 3, 3], 0).expect("chain");
+    let i64s = [-1i64, 2, -3, 4];
+    let u64s = [1u64, 2, 3, 4];
+    let affines = [Affine::new(1, 2), Affine::new(-1, 0), Affine::new(2, 2), Affine::new(0, 7)];
+    let prefixes = [
+        ReqFlags::default(),
+        ReqFlags::sharded(true),
+        ReqFlags::default().with_deadline_ms(1500),
+        ReqFlags::default().with_batch(),
+        ReqFlags::default().with_request_id(42),
+        ReqFlags::sharded(true).with_deadline_ms(u64::MAX).with_batch().with_request_id(7),
+    ];
+    let mut rows = 0;
+    for flags in prefixes {
+        let mut all = vec![
+            (
+                FrameKind::Rank,
+                protocol::rank_body_flags(&list, flags),
+                WireJob { flags, source: JobSource::Inline(list.clone()), op: JobOp::Rank },
+            ),
+            (
+                FrameKind::RankH,
+                protocol::rank_h_body_flags(9, flags),
+                WireJob { flags, source: JobSource::Handle(9), op: JobOp::Rank },
+            ),
+        ];
+        if flags == ReqFlags::sharded(flags.sharded) {
+            assert_eq!(all[0].1, protocol::rank_body(&list, flags.sharded));
+            assert_eq!(all[1].1, protocol::rank_h_body(9, flags.sharded));
+        }
+        for op in WireOp::ALL {
+            all.extend(match op {
+                WireOp::Add | WireOp::Max | WireOp::Min => {
+                    scan_rows(&list, &i64s, &WireValues::I64(i64s.to_vec()), op, flags)
+                }
+                WireOp::Xor => scan_rows(&list, &u64s, &WireValues::U64(u64s.to_vec()), op, flags),
+                WireOp::Affine => {
+                    scan_rows(&list, &affines, &WireValues::Affine(affines.to_vec()), op, flags)
+                }
+            });
+        }
+        for (kind, body, want) in all {
+            assert_eq!(job(&Frame { kind: kind as u8, body }), want, "{kind:?} under {flags:?}");
+            rows += 1;
+        }
+    }
+    assert_eq!(rows, 6 * (2 + 4 * WireOp::ALL.len()));
 }
 
 #[test]
@@ -1241,9 +1335,8 @@ fn start_bitmap_packs_lsb_first_with_partial_final_byte() {
     assert_eq!(packed, vec![0b0000_1001, 0b0000_0001]);
     let list = LinkedList::from_order(&[0, 1, 2, 3, 4, 5, 6, 7, 8]).expect("chain");
     let body = protocol::segscan_body(&list, &starts, &[0i64; 9], WireOp::Add, false);
-    let frame = Frame { kind: FrameKind::SegScan as u8, body };
-    match protocol::decode_request(&frame).expect("decodes") {
-        WireRequest::SegScan { starts: got, .. } => assert_eq!(got, starts),
+    match job(&Frame { kind: FrameKind::SegScan as u8, body }).op {
+        JobOp::Scan { starts: got, .. } => assert_eq!(got, Some(starts)),
         other => panic!("want SegScan, got {other:?}"),
     }
 }
@@ -1323,7 +1416,7 @@ fn reserved_flag_bits_are_rejected_not_silently_dropped() {
     let frame = Frame { kind: FrameKind::Rank as u8, body: protocol::rank_body(&list, true) };
     assert!(matches!(
         protocol::decode_request(&frame),
-        Ok(WireRequest::Rank { flags: protocol::ReqFlags { sharded: true, .. }, .. })
+        Ok(WireRequest::Job(WireJob { flags: ReqFlags { sharded: true, .. }, .. }))
     ));
 }
 
@@ -1333,45 +1426,26 @@ fn deadline_flag_round_trips_and_truncation_fails_typed() {
     // between the flags byte and the rest of the body, on both the
     // inline and the by-handle request layouts.
     let list = LinkedList::new(vec![1, 1], 0).expect("chain");
+    let deadline = |ms| ReqFlags::default().with_deadline_ms(ms);
     let frame = Frame {
         kind: FrameKind::Rank as u8,
-        body: protocol::rank_body_deadline(&list, false, Some(1500)),
+        body: protocol::rank_body_flags(&list, deadline(1500)),
     };
-    assert!(matches!(
-        protocol::decode_request(&frame).expect("decodes"),
-        WireRequest::Rank {
-            flags: protocol::ReqFlags { sharded: false, deadline_ms: Some(1500), .. },
-            ..
-        }
-    ));
-    let frame = Frame {
-        kind: FrameKind::RankH as u8,
-        body: protocol::rank_h_body_deadline(7, true, Some(u64::MAX)),
-    };
-    assert!(matches!(
-        protocol::decode_request(&frame).expect("decodes"),
-        WireRequest::RankH {
-            handle: 7,
-            flags: protocol::ReqFlags { sharded: true, deadline_ms: Some(u64::MAX), .. },
-        }
-    ));
+    assert_eq!(job(&frame).flags, deadline(1500));
+    let flags = ReqFlags::sharded(true).with_deadline_ms(u64::MAX);
+    let frame = Frame { kind: FrameKind::RankH as u8, body: protocol::rank_h_body_flags(7, flags) };
+    assert_eq!(job(&frame), WireJob { flags, source: JobSource::Handle(7), op: JobOp::Rank });
     let frame = Frame {
         kind: FrameKind::ScanH as u8,
-        body: protocol::scan_h_body_deadline(3, &[1i64, 2], WireOp::Add, false, Some(250)),
+        body: protocol::scan_h_body_flags(3, &[1i64, 2], WireOp::Add, deadline(250)),
     };
-    assert!(matches!(
-        protocol::decode_request(&frame).expect("decodes"),
-        WireRequest::ScanH {
-            handle: 3,
-            flags: protocol::ReqFlags { deadline_ms: Some(250), .. },
-            ..
-        }
-    ));
+    let got = job(&frame);
+    assert_eq!((got.flags, got.source), (deadline(250), JobSource::Handle(3)));
 
     // A deadline-flagged body truncated at ANY byte — inside the
     // links, the list header, or the deadline field itself — is
     // Malformed, never a misdecode.
-    let full = protocol::rank_body_deadline(&list, false, Some(1500));
+    let full = protocol::rank_body_flags(&list, deadline(1500));
     for cut in 1..full.len() {
         let frame = Frame { kind: FrameKind::Rank as u8, body: full[..full.len() - cut].to_vec() };
         let err = protocol::decode_request(&frame).expect_err("truncated must not decode");

@@ -4,7 +4,9 @@
 #![cfg(unix)]
 
 use engine::client::{Client, ClientError};
-use engine::protocol::{self, ErrorCode, FrameKind, ReadFrameError, WireOp, MAX_FRAME_DEFAULT};
+use engine::protocol::{
+    self, ErrorCode, FrameKind, ReadFrameError, ReqFlags, WireOp, MAX_FRAME_DEFAULT,
+};
 use engine::server::{ServeConfig, Server, ServerControl, ServerStats};
 use engine::{Engine, EngineConfig};
 use listkit::gen;
@@ -806,47 +808,33 @@ fn put_past_budget_is_store_full_and_lru_eviction_frees_idle_datasets() {
 }
 
 #[test]
-fn v2_handshake_is_accepted_and_v1_rejected() {
-    // Protocol v3 and v4 are purely additive over v2, so a v2 client
-    // must still connect and use the v2 surface; v1 predates the
-    // OUTPUT metadata change and stays rejected.
+fn pre_v6_handshakes_are_rejected() {
+    // v6 is the compatibility floor: a v1 HELLO (before the OUTPUT
+    // metadata change) and a v5 HELLO (before pipelining and QoS) both
+    // earn a typed version_mismatch, and the connection closes.
+    assert_eq!(protocol::MIN_VERSION, protocol::VERSION, "the floor is the current version");
     let server = start("versions", small_engine(), |c| c);
+    for version in [1u16, 5] {
+        let mut stream = UnixStream::connect(&server.path).expect("connect");
+        let mut hello = protocol::hello_body();
+        hello[4..6].copy_from_slice(&version.to_le_bytes());
+        let reply = roundtrip(&mut stream, FrameKind::Hello as u8, &hello);
+        expect_error(&reply, ErrorCode::VersionMismatch);
+        assert!(
+            matches!(protocol::read_frame(&mut stream, MAX_FRAME_DEFAULT), Ok(None)),
+            "v{version} connection is closed"
+        );
+    }
 
-    let mut stream = UnixStream::connect(&server.path).expect("connect v2");
-    let mut hello = protocol::hello_body();
-    hello[4] = 2; // version = 2
-    hello[5] = 0;
-    let reply = roundtrip(&mut stream, FrameKind::Hello as u8, &hello);
+    // The current version connects and serves.
+    let mut stream = UnixStream::connect(&server.path).expect("connect v6");
+    let reply = roundtrip(&mut stream, FrameKind::Hello as u8, &protocol::hello_body());
     assert_eq!(FrameKind::from_u8(reply.kind), Some(FrameKind::HelloOk));
     let (version, _) = protocol::decode_hello_ok(&reply.body).expect("hello_ok");
     assert_eq!(version, protocol::VERSION, "server advertises its own version");
     let list = gen::random_list(8, 3);
     let reply = roundtrip(&mut stream, FrameKind::Rank as u8, &protocol::rank_body(&list, false));
     assert_eq!(FrameKind::from_u8(reply.kind), Some(FrameKind::Output));
-
-    // A v3 client (handles but no mutation plane) is accepted too: the
-    // v4 additions never moved MIN_VERSION, which stays at 2.
-    assert_eq!(protocol::MIN_VERSION, 2, "v4 did not raise the compatibility floor");
-    let mut stream = UnixStream::connect(&server.path).expect("connect v3");
-    let mut hello = protocol::hello_body();
-    hello[4] = 3; // version = 3
-    hello[5] = 0;
-    let reply = roundtrip(&mut stream, FrameKind::Hello as u8, &hello);
-    assert_eq!(FrameKind::from_u8(reply.kind), Some(FrameKind::HelloOk));
-    let list3 = gen::random_list(6, 4);
-    let reply = roundtrip(&mut stream, FrameKind::Put as u8, &protocol::put_body(&list3));
-    assert_eq!(FrameKind::from_u8(reply.kind), Some(FrameKind::PutOk), "v3 surface still works");
-
-    let mut stream = UnixStream::connect(&server.path).expect("connect v1");
-    let mut hello = protocol::hello_body();
-    hello[4] = 1; // version = 1
-    hello[5] = 0;
-    let reply = roundtrip(&mut stream, FrameKind::Hello as u8, &hello);
-    expect_error(&reply, ErrorCode::VersionMismatch);
-    assert!(
-        matches!(protocol::read_frame(&mut stream, MAX_FRAME_DEFAULT), Ok(None)),
-        "v1 connection is closed"
-    );
     server.stop();
 }
 
@@ -1031,13 +1019,16 @@ fn zero_deadline_expires_typed_and_connection_survives() {
 
     // deadline_ms = 0 has always "waited too long" by the time the
     // worker dequeues it — a deterministic expiry.
-    match client.rank_with_deadline(&list, 0) {
+    let deadline = |ms| protocol::rank_body_flags(&list, ReqFlags::default().with_deadline_ms(ms));
+    match client.request_encoded::<u64>(FrameKind::Rank, &deadline(0)) {
         Err(e) => assert_eq!(e.server_code(), Some(ErrorCode::DeadlineExceeded), "got {e}"),
         Ok(_) => panic!("a zero deadline must expire in the queue"),
     }
     // A generous deadline sails through, byte-identical, on the SAME
     // connection — the expiry was a typed reply, not a hangup.
-    let served = client.rank_with_deadline(&list, 60_000).expect("generous deadline");
+    let served = client
+        .request_encoded::<u64>(FrameKind::Rank, &deadline(60_000))
+        .expect("generous deadline");
     assert_eq!(served.output, HostRunner::new(Algorithm::ReidMiller).rank(&list));
     // The expiry is visible in the resilience gauges.
     let v2 = client.stats_v2().expect("stats_v2");
@@ -1052,42 +1043,18 @@ fn deadline_by_handle_and_mixed_flag_bits_decode_correctly() {
     let mut client = Client::connect(&server.path).expect("connect");
     let list = gen::random_list(3000, 0xD11);
     let handle = client.put(&list).expect("put").handle;
-    let served = client.rank_h_with_deadline(handle, 60_000).expect("rank_h + deadline");
+    let body = protocol::rank_h_body_flags(handle, ReqFlags::default().with_deadline_ms(60_000));
+    let served = client.request_encoded::<u64>(FrameKind::RankH, &body).expect("rank_h + deadline");
     assert_eq!(served.output, HostRunner::new(Algorithm::ReidMiller).rank(&list));
 
     // FLAG_SHARDED | FLAG_DEADLINE together: both decode, answer is
     // still byte-identical.
-    let body = protocol::rank_h_body_deadline(handle, true, Some(60_000));
+    let body =
+        protocol::rank_h_body_flags(handle, ReqFlags::sharded(true).with_deadline_ms(60_000));
     let served = client.request_encoded::<u64>(FrameKind::RankH, &body).expect("both flags");
     assert_eq!(served.output, HostRunner::new(Algorithm::ReidMiller).rank(&list));
     client.drop_handle(handle).expect("drop");
     drop(client);
-    server.stop();
-}
-
-#[test]
-fn deadline_flag_requires_v5_handshake() {
-    let server = start("deadline-v4", small_engine(), |c| c);
-    let mut stream = UnixStream::connect(&server.path).expect("raw connect");
-
-    // Handshake as a v4 client (the newest version before deadlines).
-    let mut hello = Vec::new();
-    hello.extend_from_slice(&protocol::MAGIC.to_le_bytes());
-    hello.extend_from_slice(&4u16.to_le_bytes());
-    let reply = roundtrip(&mut stream, FrameKind::Hello as u8, &hello);
-    assert_eq!(FrameKind::from_u8(reply.kind), Some(FrameKind::HelloOk));
-
-    // A deadline-flagged request on a v4-negotiated connection is
-    // Malformed — the flag bit is a v5 construct.
-    let list = gen::random_list(64, 1);
-    let body = protocol::rank_body_deadline(&list, false, Some(1000));
-    let reply = roundtrip(&mut stream, FrameKind::Rank as u8, &body);
-    expect_error(&reply, ErrorCode::Malformed);
-
-    // The connection survives, and the un-flagged path still works.
-    let reply = roundtrip(&mut stream, FrameKind::Rank as u8, &protocol::rank_body(&list, false));
-    assert_eq!(FrameKind::from_u8(reply.kind), Some(FrameKind::Output));
-    drop(stream);
     server.stop();
 }
 

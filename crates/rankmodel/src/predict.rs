@@ -780,4 +780,26 @@ mod tests {
         let cont = predict_with_phase2(&c, 10_000, 199, 25.0, 2, 1.2, 1.0, p2).total;
         assert!(cont > base);
     }
+
+    /// Pins the stitch picks behind `listrank`'s sharded tests, whose
+    /// random 200k-vertex rank and 50k-vertex affine scan contract to
+    /// these fragment counts: the tests assert the model's pick at the
+    /// host's thread count, so this table is what they expect on 1-,
+    /// 2- and 4-core hosts. The K-lane discount makes Reid-Miller win
+    /// the rank even on one thread; the 16-byte affine stitch needs
+    /// four threads to beat the serial walk.
+    #[test]
+    fn sharded_stitch_picks_by_thread_count() {
+        use AlgChoice::{ReidMiller, Serial};
+        for (p, rank, affine) in
+            [(1, ReidMiller, Serial), (2, ReidMiller, Serial), (4, ReidMiller, ReidMiller)]
+        {
+            assert_eq!(predict_best_op_lanes(183_628, p, 8, DEFAULT_LANES), rank, "rank, p = {p}");
+            assert_eq!(
+                predict_best_op_lanes(45_919, p, 16, DEFAULT_LANES),
+                affine,
+                "affine, p = {p}"
+            );
+        }
+    }
 }

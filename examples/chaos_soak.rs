@@ -324,13 +324,13 @@ fn main() {
                         }
                     } else {
                         // Rank by handle; every third request carries
-                        // a deadline to exercise the v5 path.
-                        let reply = if r % 3 == 0 {
-                            client.rank_h_with_deadline(handle, 30_000)
-                        } else {
-                            let body = protocol::rank_h_body(handle, false);
-                            client.request_encoded::<u64>(FrameKind::RankH, &body)
-                        };
+                        // a deadline to exercise the deadline path.
+                        let mut flags = ReqFlags::sharded(false);
+                        if r % 3 == 0 {
+                            flags = flags.with_deadline_ms(30_000);
+                        }
+                        let body = protocol::rank_h_body_flags(handle, flags);
+                        let reply = client.request_encoded::<u64>(FrameKind::RankH, &body);
                         match reply {
                             Ok(served) => {
                                 assert_eq!(served.output, expected, "rank parity (client {c})");
