@@ -30,6 +30,7 @@
 //! length prefix — close it.
 
 use crate::op::OpKind;
+use crate::store::{MutationStats, StoreStats};
 use crate::telemetry::hist;
 use crate::telemetry::{Histogram, Phase};
 use listkit::dynamic::Edit;
@@ -1392,37 +1393,94 @@ pub struct WireStats {
     pub text: String,
 }
 
-impl WireStats {
-    const COUNTERS: usize = 14;
+// ---------------------------------------------------------------------
+// Counter blocks: one declaration and one codec for every block
+// ---------------------------------------------------------------------
 
-    fn counters(&self) -> [u64; Self::COUNTERS] {
-        [
-            self.engine_submitted,
-            self.engine_completed,
-            self.engine_cancelled,
-            self.engine_failed,
-            self.engine_elements,
-            self.connections_total,
-            self.connections_active,
-            self.peak_connections,
-            self.frames_in,
-            self.frames_out,
-            self.bytes_in,
-            self.bytes_out,
-            self.errors_sent,
-            self.busy_rejected,
-        ]
+/// A fixed block of `u64` counters that travels as `count: u8`
+/// followed by `count` LE `u64`s: the STATS_OK counter block and every
+/// STATS_V2 gauge block. [`NAMES`](GaugeBlock::NAMES) is the wire
+/// order and the only place it is spelled. Blocks are append-only: a
+/// reader needs at least `NAMES.len()` entries and skips any extras a
+/// newer peer appended.
+pub trait GaugeBlock {
+    /// The counter fields, in wire order.
+    const NAMES: &'static [&'static str];
+
+    /// The counters, in [`NAMES`](GaugeBlock::NAMES) order.
+    fn values(&self) -> Vec<u64>;
+
+    /// Rebuild from counters in [`NAMES`](GaugeBlock::NAMES) order.
+    /// Entries past `NAMES.len()` are ignored; missing ones read as 0.
+    fn from_values(values: &[u64]) -> Self;
+}
+
+/// Implement [`GaugeBlock`] by listing a struct's counter fields once,
+/// in wire order; fields that are not counters follow `with`, each
+/// with the value a decoded block starts from. `from_values` is a
+/// struct literal, so a field left out of the list does not compile.
+macro_rules! gauge_block {
+    ($ty:ident { $($field:ident),+ $(,)? } $(with $($rest:ident: $init:expr),+)?) => {
+        impl GaugeBlock for $ty {
+            const NAMES: &'static [&'static str] = &[$(stringify!($field)),+];
+
+            fn values(&self) -> Vec<u64> {
+                vec![$(self.$field),+]
+            }
+
+            fn from_values(values: &[u64]) -> Self {
+                let mut v = values.iter().copied();
+                $ty { $($field: v.next().unwrap_or(0),)+ $($($rest: $init,)+)? }
+            }
+        }
+    };
+}
+
+/// Append a counter block: `count: u8`, then `count` LE `u64`s.
+fn put_counts(values: &[u64], out: &mut Vec<u8>) {
+    out.push(values.len() as u8);
+    for v in values {
+        out.extend_from_slice(&v.to_le_bytes());
     }
 }
 
+/// Read a counter block written by [`put_counts`]. Fewer than `need`
+/// entries is malformed; every entry present is returned, so a reader
+/// that knows `need` of them skips the rest.
+fn take_counts(d: &mut Dec<'_>, need: usize, what: &str) -> Result<Vec<u64>, WireError> {
+    let count = d.u8(what)? as usize;
+    if count < need {
+        return Err(WireError::malformed(format!("{what} block has {count} entries, need {need}")));
+    }
+    (0..count).map(|_| d.u64(what)).collect()
+}
+
+/// Read one [`GaugeBlock`] through [`take_counts`].
+fn take_gauges<G: GaugeBlock>(d: &mut Dec<'_>, what: &str) -> Result<G, WireError> {
+    Ok(G::from_values(&take_counts(d, G::NAMES.len(), what)?))
+}
+
+gauge_block!(WireStats {
+    engine_submitted,
+    engine_completed,
+    engine_cancelled,
+    engine_failed,
+    engine_elements,
+    connections_total,
+    connections_active,
+    peak_connections,
+    frames_in,
+    frames_out,
+    bytes_in,
+    bytes_out,
+    errors_sent,
+    busy_rejected,
+} with text: String::new());
+
 /// STATS_OK body: counter count + counters + UTF-8 stats text.
 pub fn stats_body(stats: &WireStats) -> Vec<u8> {
-    let counters = stats.counters();
-    let mut b = Vec::with_capacity(1 + 8 * counters.len() + stats.text.len());
-    b.push(counters.len() as u8);
-    for c in counters {
-        b.extend_from_slice(&c.to_le_bytes());
-    }
+    let mut b = Vec::with_capacity(1 + 8 * WireStats::NAMES.len() + stats.text.len());
+    put_counts(&stats.values(), &mut b);
     b.extend_from_slice(stats.text.as_bytes());
     b
 }
@@ -1431,39 +1489,10 @@ pub fn stats_body(stats: &WireStats) -> Vec<u8> {
 /// this version knows are skipped (newer servers may append more).
 pub fn decode_stats(body: &[u8]) -> Result<WireStats, WireError> {
     let mut d = Dec::new(body);
-    let count = d.u8("counter count")? as usize;
-    if count < WireStats::COUNTERS {
-        return Err(WireError::malformed(format!(
-            "counter block has {count} entries, need {}",
-            WireStats::COUNTERS
-        )));
-    }
-    let mut c = [0u64; WireStats::COUNTERS];
-    for slot in &mut c {
-        *slot = d.u64("counter")?;
-    }
-    for _ in WireStats::COUNTERS..count {
-        d.u64("extra counter")?;
-    }
+    let counters: WireStats = take_gauges(&mut d, "counter")?;
     let text = String::from_utf8(d.take(d.b.len() - d.pos, "stats text")?.to_vec())
         .map_err(|_| WireError::malformed("stats text is not UTF-8"))?;
-    Ok(WireStats {
-        engine_submitted: c[0],
-        engine_completed: c[1],
-        engine_cancelled: c[2],
-        engine_failed: c[3],
-        engine_elements: c[4],
-        connections_total: c[5],
-        connections_active: c[6],
-        peak_connections: c[7],
-        frames_in: c[8],
-        frames_out: c[9],
-        bytes_in: c[10],
-        bytes_out: c[11],
-        errors_sent: c[12],
-        busy_rejected: c[13],
-        text,
-    })
+    Ok(WireStats { text, ..counters })
 }
 
 // ---------------------------------------------------------------------
@@ -1481,44 +1510,36 @@ pub const TAG_OP_HIST: u8 = 2;
 /// [`crate::planner::MISPREDICT_SCALE`]).
 pub const TAG_MISPREDICT: u8 = 3;
 /// STATS_V2_OK block tag: the gauge block (block id is `0`; payload is
-/// `count: u8` followed by `count` LE `u64`s in [`StatsGauges`] field
-/// order).
+/// a [`GaugeBlock`] counter block of [`StatsGauges`]).
 pub const TAG_GAUGES: u8 = 4;
 /// STATS_V2_OK block tag: one planner dispatch-matrix row (block id is
 /// [`OpKind::index`]; payload is `count: u8` followed by `count` LE
 /// `u64`s in [`Algorithm::ALL`] order).
 pub const TAG_DISPATCH_OP: u8 = 5;
 /// STATS_V2_OK block tag: the resident dataset store's gauge block
-/// (block id is `0`; payload is `count: u8` followed by `count` LE
-/// `u64`s in [`StoreGauges`] field order). Added in protocol v3; v2
-/// readers skip it by tag.
+/// (block id is `0`; payload is a [`GaugeBlock`] counter block of
+/// [`StoreStats`]). Readers skip tags they do not know.
 pub const TAG_STORE: u8 = 6;
 /// STATS_V2_OK block tag: the mutation plane's gauge block (block id
-/// is `0`; payload is `count: u8` followed by `count` LE `u64`s in
-/// [`MutGauges`] field order). Added in protocol v4; older readers
-/// skip it by tag.
+/// is `0`; payload is a [`GaugeBlock`] counter block of
+/// [`MutationStats`]). Readers skip tags they do not know.
 pub const TAG_MUTATE: u8 = 7;
 /// STATS_V2_OK block tag: the fault/resilience gauge block (block id
-/// is `0`; payload is `count: u8` followed by `count` LE `u64`s in
-/// [`FaultGauges`] field order). Added in protocol v5; older readers
-/// skip it by tag.
+/// is `0`; payload is a [`GaugeBlock`] counter block of
+/// [`FaultGauges`]). Readers skip tags they do not know.
 pub const TAG_FAULT: u8 = 8;
 /// STATS_V2_OK block tag: the scheduler/QoS gauge block (block id is
-/// `0`; payload is `count: u8` followed by `count` LE `u64`s in
-/// [`SchedGauges`] field order). Added in protocol v6; older readers
-/// skip it by tag.
+/// `0`; payload is a [`GaugeBlock`] counter block of [`SchedGauges`]).
+/// Readers skip tags they do not know.
 pub const TAG_SCHED: u8 = 9;
 /// STATS_V2_OK block tag: the pipeline-depth histogram — depth of the
 /// connection's in-flight set sampled at each pipelined admission
 /// (block id is `0`; payload is a histogram like [`TAG_PHASE_HIST`]).
-/// Added in protocol v6; omitted while empty; older readers skip it by
-/// tag.
+/// Omitted while empty; readers skip tags they do not know.
 pub const TAG_PIPELINE: u8 = 10;
 
 /// The fixed gauge block of a STATS_V2_OK frame: point-in-time scalars
-/// the `rankd stats` dashboard needs alongside the histograms. Encoded
-/// with a leading count so future versions can append gauges without
-/// breaking older readers.
+/// the `rankd stats` dashboard needs alongside the histograms.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct StatsGauges {
     /// Engine uptime in nanoseconds.
@@ -1550,170 +1571,50 @@ pub struct StatsGauges {
     pub connections_total: u64,
 }
 
-impl StatsGauges {
-    /// Number of gauges this version defines.
-    pub const COUNT: usize = 13;
+gauge_block!(StatsGauges {
+    uptime_ns,
+    submitted,
+    completed,
+    cancelled,
+    failed,
+    rejected_full,
+    elements,
+    queue_depth,
+    peak_queue_depth,
+    lane_steps,
+    lane_slots,
+    connections_active,
+    connections_total,
+});
 
-    fn to_array(self) -> [u64; Self::COUNT] {
-        [
-            self.uptime_ns,
-            self.submitted,
-            self.completed,
-            self.cancelled,
-            self.failed,
-            self.rejected_full,
-            self.elements,
-            self.queue_depth,
-            self.peak_queue_depth,
-            self.lane_steps,
-            self.lane_slots,
-            self.connections_active,
-            self.connections_total,
-        ]
-    }
+gauge_block!(StoreStats {
+    budget_bytes,
+    resident_bytes,
+    resident_count,
+    puts,
+    drops,
+    lookups,
+    hits,
+    misses,
+    evictions,
+    put_rejected,
+    artifacts_built,
+    artifacts_reused,
+});
 
-    fn from_array(c: [u64; Self::COUNT]) -> StatsGauges {
-        StatsGauges {
-            uptime_ns: c[0],
-            submitted: c[1],
-            completed: c[2],
-            cancelled: c[3],
-            failed: c[4],
-            rejected_full: c[5],
-            elements: c[6],
-            queue_depth: c[7],
-            peak_queue_depth: c[8],
-            lane_steps: c[9],
-            lane_slots: c[10],
-            connections_active: c[11],
-            connections_total: c[12],
-        }
-    }
-}
-
-/// The resident-dataset store's gauge block of a STATS_V2_OK frame
-/// (mirrors [`crate::store::StoreStats`]). Encoded with a leading
-/// count so future versions can append gauges without breaking older
-/// readers.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct StoreGauges {
-    /// Configured byte budget.
-    pub budget_bytes: u64,
-    /// Bytes currently resident (lists + cached artifacts).
-    pub resident_bytes: u64,
-    /// Datasets currently resident.
-    pub resident_count: u64,
-    /// Successful PUTs.
-    pub puts: u64,
-    /// Datasets removed by DROP or connection teardown.
-    pub drops: u64,
-    /// Handle resolution attempts.
-    pub lookups: u64,
-    /// Lookups that resolved to a resident dataset.
-    pub hits: u64,
-    /// Lookups that found no dataset for the (handle, connection).
-    pub misses: u64,
-    /// Datasets evicted by LRU pressure.
-    pub evictions: u64,
-    /// PUTs refused because the budget could not be met.
-    pub put_rejected: u64,
-    /// Sharded artifacts built.
-    pub artifacts_built: u64,
-    /// Sharded artifacts served from the cache.
-    pub artifacts_reused: u64,
-}
-
-impl StoreGauges {
-    /// Number of store gauges this version defines.
-    pub const COUNT: usize = 12;
-
-    fn to_array(self) -> [u64; Self::COUNT] {
-        [
-            self.budget_bytes,
-            self.resident_bytes,
-            self.resident_count,
-            self.puts,
-            self.drops,
-            self.lookups,
-            self.hits,
-            self.misses,
-            self.evictions,
-            self.put_rejected,
-            self.artifacts_built,
-            self.artifacts_reused,
-        ]
-    }
-
-    fn from_array(c: [u64; Self::COUNT]) -> StoreGauges {
-        StoreGauges {
-            budget_bytes: c[0],
-            resident_bytes: c[1],
-            resident_count: c[2],
-            puts: c[3],
-            drops: c[4],
-            lookups: c[5],
-            hits: c[6],
-            misses: c[7],
-            evictions: c[8],
-            put_rejected: c[9],
-            artifacts_built: c[10],
-            artifacts_reused: c[11],
-        }
-    }
-}
-
-/// The mutation plane's gauge block of a STATS_V2_OK frame (mirrors
-/// [`crate::store::MutationStats`]). Encoded with a leading count so
-/// future versions can append gauges without breaking older readers.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct MutGauges {
-    /// Mutation batches applied.
-    pub mutations: u64,
-    /// Individual edits applied.
-    pub edits: u64,
-    /// Maintenance passes that patched dirty shards in place.
-    pub incremental: u64,
-    /// Maintenance passes that rebuilt from scratch.
-    pub full: u64,
-    /// Dirty shards patched by incremental passes.
-    pub dirty_shards_patched: u64,
-    /// Cached artifacts brought up to date.
-    pub artifacts_patched: u64,
-}
-
-impl MutGauges {
-    /// Number of mutation gauges this version defines.
-    pub const COUNT: usize = 6;
-
-    fn to_array(self) -> [u64; Self::COUNT] {
-        [
-            self.mutations,
-            self.edits,
-            self.incremental,
-            self.full,
-            self.dirty_shards_patched,
-            self.artifacts_patched,
-        ]
-    }
-
-    fn from_array(c: [u64; Self::COUNT]) -> MutGauges {
-        MutGauges {
-            mutations: c[0],
-            edits: c[1],
-            incremental: c[2],
-            full: c[3],
-            dirty_shards_patched: c[4],
-            artifacts_patched: c[5],
-        }
-    }
-}
+gauge_block!(MutationStats {
+    mutations,
+    edits,
+    incremental,
+    full,
+    dirty_shards_patched,
+    artifacts_patched,
+});
 
 /// The fault/resilience gauge block of a STATS_V2_OK frame: what the
 /// fault-injection plane ([`crate::fault::FaultPlane`]) injected, and
 /// what the resilience machinery absorbed (panics isolated, workers
-/// respawned, deadlines expired, requests shed). Encoded with a
-/// leading count so future versions can append gauges without breaking
-/// older readers. Added in protocol v5.
+/// respawned, deadlines expired, requests shed).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct FaultGauges {
     /// Socket reads/writes failed by injection.
@@ -1740,46 +1641,22 @@ pub struct FaultGauges {
     pub shed_store: u64,
 }
 
-impl FaultGauges {
-    /// Number of fault gauges this version defines.
-    pub const COUNT: usize = 10;
-
-    fn to_array(self) -> [u64; Self::COUNT] {
-        [
-            self.injected_io_errors,
-            self.injected_delays,
-            self.injected_short_writes,
-            self.injected_exec_panics,
-            self.injected_store_errors,
-            self.panics_recovered,
-            self.workers_respawned,
-            self.deadline_expired,
-            self.shed_queue,
-            self.shed_store,
-        ]
-    }
-
-    fn from_array(c: [u64; Self::COUNT]) -> FaultGauges {
-        FaultGauges {
-            injected_io_errors: c[0],
-            injected_delays: c[1],
-            injected_short_writes: c[2],
-            injected_exec_panics: c[3],
-            injected_store_errors: c[4],
-            panics_recovered: c[5],
-            workers_respawned: c[6],
-            deadline_expired: c[7],
-            shed_queue: c[8],
-            shed_store: c[9],
-        }
-    }
-}
+gauge_block!(FaultGauges {
+    injected_io_errors,
+    injected_delays,
+    injected_short_writes,
+    injected_exec_panics,
+    injected_store_errors,
+    panics_recovered,
+    workers_respawned,
+    deadline_expired,
+    shed_queue,
+    shed_store,
+});
 
 /// The scheduler/QoS gauge block of a STATS_V2_OK frame: what the
 /// two-class scheduler dispatched and holds in flight, what the
 /// per-tenant quotas rejected, and how the pipelining plane behaved.
-/// Encoded with a leading count so future versions can append gauges
-/// without breaking older readers. Added in protocol v6.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct SchedGauges {
     /// Interactive-class requests admitted and not yet finished.
@@ -1805,46 +1682,25 @@ pub struct SchedGauges {
     pub max_pipeline_depth: u64,
 }
 
-impl SchedGauges {
-    /// Number of scheduler gauges this version defines.
-    pub const COUNT: usize = 10;
-
-    fn to_array(self) -> [u64; Self::COUNT] {
-        [
-            self.inflight_interactive,
-            self.inflight_batch,
-            self.dispatched_interactive,
-            self.dispatched_batch,
-            self.aged_dispatches,
-            self.quota_rejected_inflight,
-            self.quota_rejected_store,
-            self.reply_reorders,
-            self.pipelined_requests,
-            self.max_pipeline_depth,
-        ]
-    }
-
-    fn from_array(c: [u64; Self::COUNT]) -> SchedGauges {
-        SchedGauges {
-            inflight_interactive: c[0],
-            inflight_batch: c[1],
-            dispatched_interactive: c[2],
-            dispatched_batch: c[3],
-            aged_dispatches: c[4],
-            quota_rejected_inflight: c[5],
-            quota_rejected_store: c[6],
-            reply_reorders: c[7],
-            pipelined_requests: c[8],
-            max_pipeline_depth: c[9],
-        }
-    }
-}
+gauge_block!(SchedGauges {
+    inflight_interactive,
+    inflight_batch,
+    dispatched_interactive,
+    dispatched_batch,
+    aged_dispatches,
+    quota_rejected_inflight,
+    quota_rejected_store,
+    reply_reorders,
+    pipelined_requests,
+    max_pipeline_depth,
+});
 
 /// The decoded payload of a STATS_V2_OK frame: every histogram the
 /// telemetry registry keeps, the planner's mispredict histogram and
-/// dispatch-by-op matrix, and the gauge block. Histogram slots that
+/// dispatch-by-op matrix, and the gauge blocks. Histogram slots that
 /// were not on the wire (the encoder skips empty ones) decode as empty
-/// histograms, so consumers can index without `Option` juggling.
+/// histograms, so consumers can index without `Option` juggling; a
+/// block that was not on the wire decodes as all-zero.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct WireStatsV2 {
     /// Per-phase latency histograms, indexed by [`Phase::index`].
@@ -1855,20 +1711,16 @@ pub struct WireStatsV2 {
     pub mispredict: Histogram,
     /// The gauge block.
     pub gauges: StatsGauges,
-    /// The resident-dataset store's gauge block (all-zero when the
-    /// peer predates protocol v3).
-    pub store: StoreGauges,
-    /// The mutation plane's gauge block (all-zero when the peer
-    /// predates protocol v4).
-    pub mutate: MutGauges,
-    /// The fault/resilience gauge block (all-zero when the peer
-    /// predates protocol v5).
+    /// The resident-dataset store's snapshot, as the store took it.
+    pub store: StoreStats,
+    /// The mutation plane's snapshot, as the store took it.
+    pub mutate: MutationStats,
+    /// The fault/resilience gauge block.
     pub fault: FaultGauges,
-    /// The scheduler/QoS gauge block (all-zero when the peer predates
-    /// protocol v6).
+    /// The scheduler/QoS gauge block.
     pub sched: SchedGauges,
-    /// The pipeline-depth histogram (empty when the peer predates
-    /// protocol v6 or nothing was pipelined yet).
+    /// The pipeline-depth histogram (empty while nothing was
+    /// pipelined).
     pub pipeline_depth: Histogram,
     /// Planner dispatch rows: `(op, completions per algorithm)` in
     /// [`Algorithm::ALL`] order; only ops with completions appear.
@@ -1913,101 +1765,49 @@ fn parse_hist(d: &mut Dec<'_>) -> Result<Histogram, WireError> {
         .ok_or_else(|| WireError::malformed("histogram bucket index out of range"))
 }
 
-fn put_block(tag: u8, id: u8, payload: &[u8], out: &mut Vec<u8>) {
-    out.push(tag);
-    out.push(id);
-    out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-    out.extend_from_slice(payload);
-}
-
 /// STATS_V2_OK body: `block_count: u16` followed by that many
 /// `(tag: u8, id: u8, len: u32, payload)` blocks. Empty histograms are
 /// not encoded; a reader skips blocks with tags it does not know
 /// (their `len` makes that possible), which is the forward-compat
 /// contract: new telemetry = new tags, never a relayout.
 pub fn stats_v2_body(stats: &WireStatsV2) -> Vec<u8> {
-    let mut blocks: Vec<u8> = Vec::new();
-    let mut block_count: u16 = 0;
-    let mut payload = Vec::new();
-    for phase in Phase::ALL {
-        let h = &stats.phase[phase.index()];
-        if h.is_empty() {
-            continue;
-        }
-        payload.clear();
-        put_hist(h, &mut payload);
-        put_block(TAG_PHASE_HIST, phase.index() as u8, &payload, &mut blocks);
-        block_count += 1;
+    let hist = |h: &Histogram| {
+        (!h.is_empty()).then(|| {
+            let mut p = Vec::new();
+            put_hist(h, &mut p);
+            p
+        })
+    };
+    let counts = |values: &[u64]| {
+        let mut p = Vec::with_capacity(1 + 8 * values.len());
+        put_counts(values, &mut p);
+        Some(p)
+    };
+    let mut blocks: Vec<(u8, usize, Option<Vec<u8>>)> = Vec::new();
+    blocks.extend(Phase::ALL.map(|p| (TAG_PHASE_HIST, p.index(), hist(&stats.phase[p.index()]))));
+    blocks.extend(OpKind::ALL.map(|op| (TAG_OP_HIST, op.index(), hist(&stats.per_op[op.index()]))));
+    blocks.push((TAG_MISPREDICT, 0, hist(&stats.mispredict)));
+    for (tag, values) in [
+        (TAG_GAUGES, stats.gauges.values()),
+        (TAG_STORE, stats.store.values()),
+        (TAG_MUTATE, stats.mutate.values()),
+        (TAG_FAULT, stats.fault.values()),
+        (TAG_SCHED, stats.sched.values()),
+    ] {
+        blocks.push((tag, 0, counts(&values)));
     }
-    for op in OpKind::ALL {
-        let h = &stats.per_op[op.index()];
-        if h.is_empty() {
-            continue;
-        }
-        payload.clear();
-        put_hist(h, &mut payload);
-        put_block(TAG_OP_HIST, op.index() as u8, &payload, &mut blocks);
-        block_count += 1;
-    }
-    if !stats.mispredict.is_empty() {
-        payload.clear();
-        put_hist(&stats.mispredict, &mut payload);
-        put_block(TAG_MISPREDICT, 0, &payload, &mut blocks);
-        block_count += 1;
-    }
-    payload.clear();
-    payload.push(StatsGauges::COUNT as u8);
-    for g in stats.gauges.to_array() {
-        payload.extend_from_slice(&g.to_le_bytes());
-    }
-    put_block(TAG_GAUGES, 0, &payload, &mut blocks);
-    block_count += 1;
-    payload.clear();
-    payload.push(StoreGauges::COUNT as u8);
-    for g in stats.store.to_array() {
-        payload.extend_from_slice(&g.to_le_bytes());
-    }
-    put_block(TAG_STORE, 0, &payload, &mut blocks);
-    block_count += 1;
-    payload.clear();
-    payload.push(MutGauges::COUNT as u8);
-    for g in stats.mutate.to_array() {
-        payload.extend_from_slice(&g.to_le_bytes());
-    }
-    put_block(TAG_MUTATE, 0, &payload, &mut blocks);
-    block_count += 1;
-    payload.clear();
-    payload.push(FaultGauges::COUNT as u8);
-    for g in stats.fault.to_array() {
-        payload.extend_from_slice(&g.to_le_bytes());
-    }
-    put_block(TAG_FAULT, 0, &payload, &mut blocks);
-    block_count += 1;
-    payload.clear();
-    payload.push(SchedGauges::COUNT as u8);
-    for g in stats.sched.to_array() {
-        payload.extend_from_slice(&g.to_le_bytes());
-    }
-    put_block(TAG_SCHED, 0, &payload, &mut blocks);
-    block_count += 1;
-    if !stats.pipeline_depth.is_empty() {
-        payload.clear();
-        put_hist(&stats.pipeline_depth, &mut payload);
-        put_block(TAG_PIPELINE, 0, &payload, &mut blocks);
-        block_count += 1;
-    }
+    blocks.push((TAG_PIPELINE, 0, hist(&stats.pipeline_depth)));
     for (op, row) in &stats.dispatch_by_op {
-        payload.clear();
-        payload.push(row.len() as u8);
-        for c in row {
-            payload.extend_from_slice(&c.to_le_bytes());
-        }
-        put_block(TAG_DISPATCH_OP, op.index() as u8, &payload, &mut blocks);
-        block_count += 1;
+        blocks.push((TAG_DISPATCH_OP, op.index(), counts(row)));
     }
-    let mut b = Vec::with_capacity(2 + blocks.len());
-    b.extend_from_slice(&block_count.to_le_bytes());
-    b.extend_from_slice(&blocks);
+    let blocks: Vec<_> =
+        blocks.into_iter().filter_map(|(tag, id, p)| Some((tag, id, p?))).collect();
+    let mut b = (blocks.len() as u16).to_le_bytes().to_vec();
+    for (tag, id, payload) in blocks {
+        b.extend_from_slice(&[tag, id as u8]);
+        b.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+        b.extend_from_slice(&payload);
+    }
     b
 }
 
@@ -2028,127 +1828,29 @@ pub fn decode_stats_v2(body: &[u8]) -> Result<WireStatsV2, WireError> {
                 let phase = Phase::from_index(id as usize)
                     .ok_or_else(|| WireError::malformed(format!("phase id {id}")))?;
                 out.phase[phase.index()] = parse_hist(&mut p)?;
-                p.finish()?;
             }
             TAG_OP_HIST => {
                 let op = OpKind::from_index(id as usize)
                     .ok_or_else(|| WireError::malformed(format!("op id {id}")))?;
                 out.per_op[op.index()] = parse_hist(&mut p)?;
-                p.finish()?;
             }
-            TAG_MISPREDICT => {
-                out.mispredict = parse_hist(&mut p)?;
-                p.finish()?;
-            }
-            TAG_GAUGES => {
-                let count = p.u8("gauge count")? as usize;
-                if count < StatsGauges::COUNT {
-                    return Err(WireError::malformed(format!(
-                        "gauge block has {count} entries, need {}",
-                        StatsGauges::COUNT
-                    )));
-                }
-                let mut c = [0u64; StatsGauges::COUNT];
-                for slot in &mut c {
-                    *slot = p.u64("gauge")?;
-                }
-                for _ in StatsGauges::COUNT..count {
-                    p.u64("extra gauge")?;
-                }
-                p.finish()?;
-                out.gauges = StatsGauges::from_array(c);
-            }
-            TAG_STORE => {
-                let count = p.u8("store gauge count")? as usize;
-                if count < StoreGauges::COUNT {
-                    return Err(WireError::malformed(format!(
-                        "store gauge block has {count} entries, need {}",
-                        StoreGauges::COUNT
-                    )));
-                }
-                let mut c = [0u64; StoreGauges::COUNT];
-                for slot in &mut c {
-                    *slot = p.u64("store gauge")?;
-                }
-                for _ in StoreGauges::COUNT..count {
-                    p.u64("extra store gauge")?;
-                }
-                p.finish()?;
-                out.store = StoreGauges::from_array(c);
-            }
-            TAG_MUTATE => {
-                let count = p.u8("mutate gauge count")? as usize;
-                if count < MutGauges::COUNT {
-                    return Err(WireError::malformed(format!(
-                        "mutate gauge block has {count} entries, need {}",
-                        MutGauges::COUNT
-                    )));
-                }
-                let mut c = [0u64; MutGauges::COUNT];
-                for slot in &mut c {
-                    *slot = p.u64("mutate gauge")?;
-                }
-                for _ in MutGauges::COUNT..count {
-                    p.u64("extra mutate gauge")?;
-                }
-                p.finish()?;
-                out.mutate = MutGauges::from_array(c);
-            }
-            TAG_FAULT => {
-                let count = p.u8("fault gauge count")? as usize;
-                if count < FaultGauges::COUNT {
-                    return Err(WireError::malformed(format!(
-                        "fault gauge block has {count} entries, need {}",
-                        FaultGauges::COUNT
-                    )));
-                }
-                let mut c = [0u64; FaultGauges::COUNT];
-                for slot in &mut c {
-                    *slot = p.u64("fault gauge")?;
-                }
-                for _ in FaultGauges::COUNT..count {
-                    p.u64("extra fault gauge")?;
-                }
-                p.finish()?;
-                out.fault = FaultGauges::from_array(c);
-            }
-            TAG_SCHED => {
-                let count = p.u8("sched gauge count")? as usize;
-                if count < SchedGauges::COUNT {
-                    return Err(WireError::malformed(format!(
-                        "sched gauge block has {count} entries, need {}",
-                        SchedGauges::COUNT
-                    )));
-                }
-                let mut c = [0u64; SchedGauges::COUNT];
-                for slot in &mut c {
-                    *slot = p.u64("sched gauge")?;
-                }
-                for _ in SchedGauges::COUNT..count {
-                    p.u64("extra sched gauge")?;
-                }
-                p.finish()?;
-                out.sched = SchedGauges::from_array(c);
-            }
-            TAG_PIPELINE => {
-                out.pipeline_depth = parse_hist(&mut p)?;
-                p.finish()?;
-            }
+            TAG_MISPREDICT => out.mispredict = parse_hist(&mut p)?,
+            TAG_GAUGES => out.gauges = take_gauges(&mut p, "gauge")?,
+            TAG_STORE => out.store = take_gauges(&mut p, "store gauge")?,
+            TAG_MUTATE => out.mutate = take_gauges(&mut p, "mutate gauge")?,
+            TAG_FAULT => out.fault = take_gauges(&mut p, "fault gauge")?,
+            TAG_SCHED => out.sched = take_gauges(&mut p, "sched gauge")?,
+            TAG_PIPELINE => out.pipeline_depth = parse_hist(&mut p)?,
             TAG_DISPATCH_OP => {
                 let op = OpKind::from_index(id as usize)
                     .ok_or_else(|| WireError::malformed(format!("op id {id}")))?;
-                let count = p.u8("dispatch row length")? as usize;
-                let mut row = Vec::with_capacity(count);
-                for _ in 0..count {
-                    row.push(p.u64("dispatch count")?);
-                }
-                p.finish()?;
-                out.dispatch_by_op.push((op, row));
+                out.dispatch_by_op.push((op, take_counts(&mut p, 0, "dispatch row")?));
             }
             // Unknown tag from a newer peer: the whole payload was
             // already consumed via `len`, so just move on.
-            _ => {}
+            _ => continue,
         }
+        p.finish()?;
     }
     d.finish()?;
     Ok(out)

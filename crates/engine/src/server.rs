@@ -53,8 +53,8 @@ use crate::job::{JobError, JobOptions, JobReport, Request};
 use crate::poll::{poll, PollFd, POLLIN, POLLOUT};
 use crate::protocol::{
     self, error_body, pipelined_body, ErrorCode, FaultGauges, Frame, FrameKind, JobOp, JobSource,
-    MutGauges, SchedGauges, StatsGauges, StoreGauges, WireElem, WireJob, WireMutateOk, WireOp,
-    WireRequest, WireStats, WireStatsV2, WireValues, MAX_FRAME_DEFAULT,
+    SchedGauges, StatsGauges, WireElem, WireJob, WireMutateOk, WireOp, WireRequest, WireStats,
+    WireStatsV2, WireValues, MAX_FRAME_DEFAULT,
 };
 use crate::queue::SubmitError;
 use crate::rankd_log;
@@ -1805,8 +1805,6 @@ impl Reactor {
     fn stats_v2(&self) -> WireStatsV2 {
         let es = self.engine.stats();
         let ss = self.shared.stats();
-        let st = self.shared.store.stats();
-        let ms = self.shared.store.mutation_stats();
         let sn = self.engine.sched_snapshot();
         WireStatsV2 {
             phase: es.phase_hist,
@@ -1827,28 +1825,8 @@ impl Reactor {
                 connections_active: ss.connections_active,
                 connections_total: ss.connections_total,
             },
-            store: StoreGauges {
-                budget_bytes: st.budget_bytes,
-                resident_bytes: st.resident_bytes,
-                resident_count: st.resident_count,
-                puts: st.puts,
-                drops: st.drops,
-                lookups: st.lookups,
-                hits: st.hits,
-                misses: st.misses,
-                evictions: st.evictions,
-                put_rejected: st.put_rejected,
-                artifacts_built: st.artifacts_built,
-                artifacts_reused: st.artifacts_reused,
-            },
-            mutate: MutGauges {
-                mutations: ms.mutations,
-                edits: ms.edits,
-                incremental: ms.incremental,
-                full: ms.full,
-                dirty_shards_patched: ms.dirty_shards_patched,
-                artifacts_patched: ms.artifacts_patched,
-            },
+            store: self.shared.store.stats(),
+            mutate: self.shared.store.mutation_stats(),
             fault: {
                 let fs = self.shared.fault.snapshot();
                 FaultGauges {

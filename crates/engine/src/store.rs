@@ -99,7 +99,9 @@ pub struct PutReceipt {
     pub bytes: u64,
 }
 
-/// Point-in-time snapshot of the store's counters and occupancy.
+/// Point-in-time snapshot of the store's counters and occupancy. It
+/// travels as-is as the STATS_V2 store gauge block
+/// ([`crate::protocol::TAG_STORE`]), in field order.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct StoreStats {
     /// Configured byte budget.
@@ -112,7 +114,8 @@ pub struct StoreStats {
     pub puts: u64,
     /// Datasets removed by explicit DROP or connection teardown.
     pub drops: u64,
-    /// Handle resolution attempts (`hits + misses == lookups`).
+    /// Handle resolution attempts: `hits + misses`, summed when the
+    /// snapshot is taken so no snapshot can split them.
     pub lookups: u64,
     /// Lookups that resolved to a resident dataset.
     pub hits: u64,
@@ -129,7 +132,9 @@ pub struct StoreStats {
 }
 
 /// Point-in-time snapshot of the store's mutation-plane counters,
-/// fed by [`crate::dynamic`] as batches land.
+/// fed by [`crate::dynamic`] as batches land. It travels as-is as the
+/// STATS_V2 mutation gauge block ([`crate::protocol::TAG_MUTATE`]), in
+/// field order.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct MutationStats {
     /// Mutation batches applied.
@@ -217,7 +222,6 @@ pub struct DatasetStore {
     inner: Mutex<Inner>,
     puts: AtomicU64,
     drops: AtomicU64,
-    lookups: AtomicU64,
     hits: AtomicU64,
     misses: AtomicU64,
     evictions: AtomicU64,
@@ -256,7 +260,6 @@ impl DatasetStore {
             }),
             puts: AtomicU64::new(0),
             drops: AtomicU64::new(0),
-            lookups: AtomicU64::new(0),
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
             evictions: AtomicU64::new(0),
@@ -319,7 +322,6 @@ impl DatasetStore {
     /// entry moves to most-recently-used and cannot be evicted while
     /// the guard lives.
     pub fn get(&self, handle: u64, conn: u64) -> Result<DatasetRef, StoreError> {
-        self.lookups.fetch_add(1, Ordering::Relaxed);
         let mut inner = lock_unpoisoned(&self.inner);
         match inner.entries.get(&handle) {
             Some(entry) if entry.owner == conn => {
@@ -396,15 +398,17 @@ impl DatasetStore {
             let inner = lock_unpoisoned(&self.inner);
             (inner.resident_bytes, inner.entries.len() as u64)
         };
+        let hits = self.hits.load(Ordering::Relaxed);
+        let misses = self.misses.load(Ordering::Relaxed);
         StoreStats {
             budget_bytes: self.budget,
             resident_bytes,
             resident_count,
             puts: self.puts.load(Ordering::Relaxed),
             drops: self.drops.load(Ordering::Relaxed),
-            lookups: self.lookups.load(Ordering::Relaxed),
-            hits: self.hits.load(Ordering::Relaxed),
-            misses: self.misses.load(Ordering::Relaxed),
+            lookups: hits + misses,
+            hits,
+            misses,
             evictions: self.evictions.load(Ordering::Relaxed),
             put_rejected: self.put_rejected.load(Ordering::Relaxed),
             artifacts_built: self.artifacts_built.load(Ordering::Relaxed),

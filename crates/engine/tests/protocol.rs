@@ -5,9 +5,10 @@
 //! document is updated to match.
 
 use engine::protocol::{
-    self, ErrorCode, Frame, FrameKind, JobOp, JobSource, OutputMeta, ReqFlags, WireElem, WireJob,
-    WireOp, WireRequest, WireValues, MAGIC, MAX_FRAME_DEFAULT, VERSION,
+    self, ErrorCode, Frame, FrameKind, GaugeBlock, JobOp, JobSource, OutputMeta, ReqFlags,
+    WireElem, WireJob, WireOp, WireRequest, WireValues, MAGIC, MAX_FRAME_DEFAULT, VERSION,
 };
+use engine::{MutationStats, StoreStats};
 use listkit::ops::Affine;
 use listkit::LinkedList;
 use listrank::Algorithm;
@@ -208,7 +209,7 @@ fn example_stats_v2() -> protocol::WireStatsV2 {
     };
     // One resident 3-vertex dataset (4*3 + 96 = 108 bytes) that served
     // two handle lookups, both hits.
-    v2.store = protocol::StoreGauges {
+    v2.store = StoreStats {
         budget_bytes: 1 << 30,
         resident_bytes: 108,
         resident_count: 1,
@@ -1450,5 +1451,136 @@ fn deadline_flag_round_trips_and_truncation_fails_typed() {
         let frame = Frame { kind: FrameKind::Rank as u8, body: full[..full.len() - cut].to_vec() };
         let err = protocol::decode_request(&frame).expect_err("truncated must not decode");
         assert_eq!(err.code, ErrorCode::Malformed, "cut {cut}: {err}");
+    }
+}
+
+/// One STATS_V2_OK block: `(tag, id, payload)`.
+type Block = (u8, u8, Vec<u8>);
+
+/// A STATS_V2_OK body split into its blocks.
+fn split_blocks(body: &[u8]) -> Vec<Block> {
+    let count = u16::from_le_bytes([body[0], body[1]]);
+    let mut at = 2;
+    let mut blocks = Vec::new();
+    for _ in 0..count {
+        let len = u32::from_le_bytes(body[at + 2..at + 6].try_into().expect("4 bytes")) as usize;
+        blocks.push((body[at], body[at + 1], body[at + 6..at + 6 + len].to_vec()));
+        at += 6 + len;
+    }
+    assert_eq!(at, body.len(), "blocks cover the body");
+    blocks
+}
+
+/// The inverse of [`split_blocks`].
+fn join_blocks(blocks: &[Block]) -> Vec<u8> {
+    let mut b = (blocks.len() as u16).to_le_bytes().to_vec();
+    for (tag, id, payload) in blocks {
+        b.extend_from_slice(&[*tag, *id]);
+        b.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+        b.extend_from_slice(payload);
+    }
+    b
+}
+
+/// A counter block (`count: u8`, `count` × `u64`, then whatever trails
+/// it) with one entry appended, as a newer peer would send it, or with
+/// its last entry cut off.
+fn resize_counts(block: &[u8], grow: bool) -> Vec<u8> {
+    let end = 1 + 8 * block[0] as usize;
+    let mut out = block.to_vec();
+    if grow {
+        out[0] += 1;
+        out.splice(end..end, 0xDEAD_BEEF_u64.to_le_bytes());
+    } else {
+        out[0] -= 1;
+        out.drain(end - 8..end);
+    }
+    out
+}
+
+/// A block whose counters are `base, base + 1, …` in wire order.
+fn numbered<G: GaugeBlock>(base: u64) -> G {
+    G::from_values(&(base..).take(G::NAMES.len()).collect::<Vec<_>>())
+}
+
+#[test]
+fn every_counter_block_skips_extras_rejects_short_blocks_and_unknown_tags() {
+    // STATS_OK: the counter block leads the body and the text trails it.
+    let v1 = protocol::WireStats { text: "report".to_string(), ..numbered(1) };
+    let body = protocol::stats_body(&v1);
+    assert_eq!(protocol::decode_stats(&resize_counts(&body, true)).expect("extra counter"), v1);
+    let err = protocol::decode_stats(&resize_counts(&body, false)).expect_err("short block");
+    assert_eq!(err.code, ErrorCode::Malformed, "STATS_OK: {err}");
+
+    // STATS_V2_OK: every gauge block, found by its tag.
+    let v2 = protocol::WireStatsV2 {
+        gauges: numbered(100),
+        store: numbered(200),
+        mutate: numbered(300),
+        fault: numbered(400),
+        sched: numbered(500),
+        ..Default::default()
+    };
+    let blocks = split_blocks(&protocol::stats_v2_body(&v2));
+    for tag in [
+        protocol::TAG_GAUGES,
+        protocol::TAG_STORE,
+        protocol::TAG_MUTATE,
+        protocol::TAG_FAULT,
+        protocol::TAG_SCHED,
+    ] {
+        let at = blocks.iter().position(|b| b.0 == tag).expect("block is on the wire");
+        let edited = |edit: &dyn Fn(&mut Block)| {
+            let mut blocks = blocks.clone();
+            edit(&mut blocks[at]);
+            protocol::decode_stats_v2(&join_blocks(&blocks))
+        };
+        let longer = edited(&|b| b.2 = resize_counts(&b.2, true));
+        assert_eq!(longer.expect("extra gauge is skipped"), v2, "tag {tag}");
+        let err = edited(&|b| b.2 = resize_counts(&b.2, false)).expect_err("short block");
+        assert_eq!(err.code, ErrorCode::Malformed, "tag {tag}: {err}");
+        // Under a tag this version does not know, the block is skipped:
+        // the body decodes as if the block were not there.
+        let mut absent = blocks.clone();
+        absent.remove(at);
+        let absent = protocol::decode_stats_v2(&join_blocks(&absent)).expect("decodes");
+        assert_ne!(absent, v2, "tag {tag}: the sample block is not all-zero");
+        assert_eq!(edited(&|b| b.0 = 0xF0).expect("unknown tag is skipped"), absent, "tag {tag}");
+    }
+}
+
+/// The names of the `index name` table in the first `text` block after
+/// `heading` in docs/PROTOCOL.md, in index order.
+fn documented_order(doc: &str, heading: &str) -> Vec<String> {
+    let at = doc.find(heading).unwrap_or_else(|| panic!("PROTOCOL.md has no {heading:?}"));
+    let table = doc[at..]
+        .split("```text\n")
+        .nth(1)
+        .and_then(|t| t.split("```").next())
+        .unwrap_or_else(|| panic!("no text table after {heading:?}"));
+    let words: Vec<&str> = table.split_whitespace().collect();
+    let mut rows: Vec<(usize, String)> = words
+        .chunks(2)
+        .map(|w| (w[0].parse().expect("index"), w.get(1).expect("name").to_string()))
+        .collect();
+    rows.sort();
+    let indices: Vec<usize> = rows.iter().map(|r| r.0).collect();
+    assert_eq!(indices, (0..rows.len()).collect::<Vec<_>>(), "{heading}: indices 0..n");
+    rows.into_iter().map(|r| r.1).collect()
+}
+
+#[test]
+fn every_counter_block_order_matches_protocol_md() {
+    let doc = include_str!("../../../docs/PROTOCOL.md");
+    let cases: [(&str, &[&str]); 6] = [
+        ("### STATS_OK counter block", protocol::WireStats::NAMES),
+        ("**gauges** (tag 4", protocol::StatsGauges::NAMES),
+        ("**store gauges** (tag 6", StoreStats::NAMES),
+        ("**mutation gauges** (tag 7", MutationStats::NAMES),
+        ("**fault gauges** (tag 8", protocol::FaultGauges::NAMES),
+        ("**scheduler gauges** (tag 9", protocol::SchedGauges::NAMES),
+    ];
+    for (heading, names) in cases {
+        assert_eq!(documented_order(doc, heading), names, "{heading}");
     }
 }

@@ -429,7 +429,9 @@ fn concurrent_put_query_drop_interleavings_never_serve_foreign_data() {
                             StoreError::StaleHandle
                         );
                     }
-                    assert!(store.stats().resident_bytes <= 40_000, "budget exceeded");
+                    let st = store.stats();
+                    assert!(st.resident_bytes <= 40_000, "budget exceeded");
+                    assert_eq!(st.hits + st.misses, st.lookups, "live counter algebra");
                 }
                 store.drop_connection(t)
             })
