@@ -31,6 +31,11 @@ fn bench_tuner(c: &mut Criterion) {
             b.iter(|| black_box(listrank::SimParams::tuned_scan(black_box(n), 1)))
         });
     }
+    // The planner's call for a 2^22-bucket Reid-Miller job at 2 inner
+    // threads (tuned at the bucket midpoint 3·2^21).
+    g.bench_with_input(BenchmarkId::new("tuned_rank_p2", 3 << 21), &(3 << 21), |b, &n| {
+        b.iter(|| black_box(listrank::SimParams::tuned_rank(black_box(n), 2)))
+    });
     g.finish();
 }
 

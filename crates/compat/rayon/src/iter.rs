@@ -38,6 +38,20 @@ fn bounds(n: usize, k: usize) -> Vec<(usize, usize)> {
     out
 }
 
+/// Spawn `f` on scope `s` with this thread's installed budget in effect
+/// on the worker, so [`crate::current_num_threads`] there reports the
+/// pool's size, as it does on rayon's own workers.
+fn spawn<'scope, T: Send + 'scope>(
+    s: &'scope std::thread::Scope<'scope, '_>,
+    f: impl FnOnce() -> T + Send + 'scope,
+) -> std::thread::ScopedJoinHandle<'scope, T> {
+    let budget = crate::CURRENT_THREADS.with(|c| c.get());
+    s.spawn(move || {
+        crate::CURRENT_THREADS.with(|c| c.set(budget));
+        f()
+    })
+}
+
 /// Run `f(lo, hi)` over chunk ranges, in parallel when worthwhile.
 fn run_chunks<F: Fn(usize, usize) + Sync>(n: usize, min_len: usize, f: F) {
     let k = threads_for(n, min_len);
@@ -48,7 +62,7 @@ fn run_chunks<F: Fn(usize, usize) + Sync>(n: usize, min_len: usize, f: F) {
     std::thread::scope(|s| {
         for (lo, hi) in bounds(n, k) {
             let f = &f;
-            s.spawn(move || f(lo, hi));
+            spawn(s, move || f(lo, hi));
         }
     });
 }
@@ -67,7 +81,7 @@ fn collect_chunks<U: Send, F: Fn(usize, usize) -> Vec<U> + Sync>(
         let mut handles = Vec::with_capacity(k);
         for (lo, hi) in bounds(n, k) {
             let f = &f;
-            handles.push(s.spawn(move || f(lo, hi)));
+            handles.push(spawn(s, move || f(lo, hi)));
         }
         let mut out = Vec::with_capacity(n);
         for h in handles {
@@ -179,7 +193,7 @@ impl<T> ParallelSliceMut<T> for [T] {
                 for (lo, hi) in bounds(n, k) {
                     let (chunk, tail) = rest.split_at_mut(hi - lo);
                     rest = tail;
-                    s.spawn(move || chunk.sort_unstable());
+                    spawn(s, move || chunk.sort_unstable());
                 }
             });
         }
@@ -335,7 +349,7 @@ impl<'a, T: Send> ParSliceMut<'a, T> {
                 let (chunk, tail) = rest.split_at_mut(hi - lo);
                 rest = tail;
                 let f = &f;
-                s.spawn(move || chunk.iter_mut().for_each(f));
+                spawn(s, move || chunk.iter_mut().for_each(f));
             }
         });
     }
@@ -367,7 +381,7 @@ impl<T: Send, U: Sync> ParZipMutRef<'_, '_, T, U> {
                 rest = tail;
                 let r = &right[lo..hi];
                 let f = &f;
-                s.spawn(move || {
+                spawn(s, move || {
                     for (a, b) in chunk.iter_mut().zip(r) {
                         f((a, b));
                     }
@@ -566,7 +580,7 @@ impl<T: Send, F> ParVecMap<T, F> {
         std::thread::scope(|s| {
             let mut handles = Vec::with_capacity(k);
             for part in parts {
-                handles.push(s.spawn(move || part.into_iter().map(f).collect::<Vec<U>>()));
+                handles.push(spawn(s, move || part.into_iter().map(f).collect::<Vec<U>>()));
             }
             let mut out = Vec::with_capacity(n);
             for h in handles {

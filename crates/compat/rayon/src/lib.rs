@@ -132,6 +132,43 @@ mod tests {
     }
 
     #[test]
+    fn pool_install_reaches_spawned_workers() {
+        // Every spawning operation's workers see the installed budget,
+        // not the machine default, as on rayon's own pool threads.
+        let pool = ThreadPoolBuilder::new().num_threads(3).build().unwrap();
+        let want = vec![3; 8];
+        pool.install(|| {
+            let by_range: Vec<usize> = (0..8usize)
+                .into_par_iter()
+                .with_min_len(1)
+                .map(|_| current_num_threads())
+                .collect();
+            assert_eq!(by_range, want, "range map");
+            let by_vec: Vec<usize> = vec![0u8; 8]
+                .into_par_iter()
+                .with_min_len(1)
+                .map(|_| current_num_threads())
+                .collect();
+            assert_eq!(by_vec, want, "vec map");
+            let mut slots = vec![0usize; 8];
+            slots.par_iter_mut().with_min_len(1).for_each(|s| *s = current_num_threads());
+            assert_eq!(slots, want, "slice for_each");
+            let mut slots = vec![0usize; 8];
+            slots
+                .par_iter_mut()
+                .with_min_len(1)
+                .zip(want.par_iter())
+                .for_each(|(s, _)| *s = current_num_threads());
+            assert_eq!(slots, want, "zip for_each");
+            let seen = std::sync::Mutex::new(Vec::new());
+            (0..8usize).into_par_iter().with_min_len(1).for_each(|_| {
+                seen.lock().unwrap().push(current_num_threads());
+            });
+            assert_eq!(seen.into_inner().unwrap(), want, "range for_each");
+        });
+    }
+
+    #[test]
     fn map_collect_matches_serial() {
         let xs: Vec<u64> = (0..100_000).collect();
         let got: Vec<u64> = xs.par_iter().map(|&x| x * 3 + 1).collect();

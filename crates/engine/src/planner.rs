@@ -440,12 +440,17 @@ impl Planner {
     /// per size bucket, tuned for the bucket's geometric midpoint
     /// (`1.5·2^(b-1)`) rather than whichever `n` happens to arrive
     /// first, so the cached value is equally representative for every
-    /// job the bucket covers.
+    /// job the bucket covers. The tune runs outside the cache lock, so
+    /// one bucket's first job never stalls other plans; the value is
+    /// deterministic, so two threads racing on a bucket only tune twice.
     fn tuned_m(&self, n: usize, lanes: usize) -> Option<usize> {
         let b = bucket_of(n);
-        let rep = if b >= 2 { 3usize << (b - 2) } else { n };
-        let mut cache = self.tuned_m.lock().expect("planner poisoned");
-        let m = *cache.entry(b).or_insert_with(|| listrank::SimParams::tuned_rank(rep, self.p).m);
+        let cached = self.tuned_m.lock().expect("planner poisoned").get(&b).copied();
+        let m = cached.unwrap_or_else(|| {
+            let rep = if b >= 2 { 3usize << (b - 2) } else { n };
+            let m = listrank::SimParams::tuned_rank(rep, self.p).m;
+            *self.tuned_m.lock().expect("planner poisoned").entry(b).or_insert(m)
+        });
         if m < 2 {
             return None; // model says don't split; host heuristic decides
         }

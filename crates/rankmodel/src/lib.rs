@@ -20,7 +20,9 @@
 //! * [`predict`] — Eq. (3) evaluation, the Eq. (5) closed form, and the
 //!   multiprocessor variant (Eq. 6);
 //! * [`tuner`] — minimization over `(m, S_1)` with recursive Phase-2
-//!   strategy selection, plus polylog curve fitting;
+//!   strategy selection, pruned by an exact branch and bound (a
+//!   candidate is skipped only when a lower bound proves it loses), plus
+//!   polylog curve fitting;
 //! * [`polyfit`], [`regress`] — small dense least-squares machinery
 //!   (own implementation; no linear-algebra dependency).
 
