@@ -22,7 +22,7 @@ pub use miller_reif::MillerReif;
 pub use reid_miller::ReidMiller;
 pub use scratch::RankScratch;
 pub use sharded::{
-    rank_sharded, rank_sharded_into, rank_sharded_prebuilt_into, scan_sharded, scan_sharded_into,
-    scan_sharded_prebuilt_into, ShardedReport,
+    rank_sharded, rank_sharded_prebuilt_into, scan_sharded, scan_sharded_prebuilt_into,
+    ShardedReport,
 };
 pub use wyllie::Wyllie;

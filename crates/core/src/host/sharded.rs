@@ -32,34 +32,19 @@ pub struct ShardedReport {
     pub stitch_ns: u64,
 }
 
-/// Rank `list` through the shard-parallel path with shards of at most
-/// `shard_size` vertices, walking each shard's fragments with `lanes`
-/// interleaved cursors, writing the ranks into `out` (byte-identical
-/// to [`listkit::serial::rank`] at every lane count). `scratch` serves
-/// the stitch phase — its dedicated prefix buffer when the contracted
-/// list ranks serially (no per-call allocation), its working arrays
-/// when the contracted list is long enough to rank in parallel — and
-/// accumulates the walkers' lane-occupancy telemetry.
-pub fn rank_sharded_into(
-    list: &LinkedList,
-    shard_size: usize,
-    lanes: usize,
-    seed: u64,
-    scratch: &mut RankScratch,
-    out: &mut Vec<u64>,
-) -> ShardedReport {
-    let sharded = ShardedList::build(list, shard_size).with_lanes(lanes);
-    rank_sharded_prebuilt_into(&sharded, seed, scratch, out)
-}
-
-/// Rank through an **already-built** [`ShardedList`] — the resident-
-/// dataset fast path: the shard decomposition, boundary table, and lane
-/// policy were fixed at build time (or fetched from an artifact cache),
-/// so this run pays only the stitch and the final prefix walk. The
-/// sharded representation's lane telemetry is cumulative across runs;
-/// only this call's delta is folded into `scratch.telemetry` so shared
-/// artifacts don't double-count (concurrent runs over the same artifact
-/// may attribute each other's steps — the counters are advisory).
+/// Rank through a built [`ShardedList`], writing the ranks into `out`
+/// (byte-identical to [`listkit::serial::rank`] at every lane count).
+/// The shard decomposition, boundary table and lane policy were fixed
+/// at build time — per job, or once for a resident dataset's artifact
+/// cache — so this run pays only the stitch and the final prefix walk.
+/// `scratch` serves the stitch phase: its dedicated prefix buffer when
+/// the contracted list ranks serially (no per-call allocation), its
+/// working arrays when the contracted list is long enough to rank in
+/// parallel. The sharded representation's lane telemetry is cumulative
+/// across runs; only this call's delta is folded into
+/// `scratch.telemetry` so shared artifacts don't double-count
+/// (concurrent runs over the same artifact may attribute each other's
+/// steps — the counters are advisory).
 pub fn rank_sharded_prebuilt_into(
     sharded: &ShardedList,
     seed: u64,
@@ -99,53 +84,27 @@ pub fn rank_sharded_prebuilt_into(
     }
 }
 
-/// Convenience wrapper allocating fresh buffers at the default lane
-/// count.
+/// Convenience wrapper: build `list`'s decomposition with shards of at
+/// most `shard_size` vertices at the default lane count and rank it
+/// into fresh buffers.
 pub fn rank_sharded(list: &LinkedList, shard_size: usize, seed: u64) -> (Vec<u64>, ShardedReport) {
+    let sharded = ShardedList::build(list, shard_size).with_lanes(listkit::walk::DEFAULT_LANES);
     let mut out = Vec::new();
-    let mut scratch = RankScratch::new();
-    let report = rank_sharded_into(
-        list,
-        shard_size,
-        listkit::walk::DEFAULT_LANES,
-        seed,
-        &mut scratch,
-        &mut out,
-    );
+    let report = rank_sharded_prebuilt_into(&sharded, seed, &mut RankScratch::new(), &mut out);
     (out, report)
 }
 
-/// Exclusive **generic-operator scan** through the shard-parallel path:
+/// Exclusive **generic-operator scan** through a built [`ShardedList`]:
 /// per-fragment operator totals are computed shard-locally in parallel
 /// (the generic analogue of the boundary table's fragment lengths), the
 /// contracted list of totals is op-scanned as the stitch — dispatched
 /// through the op- and lane-aware cost model ([`predict_best_op_lanes`],
-/// which accounts for the value width) — and every fragment is re-walked seeded with
-/// its global prefix. Byte-identical to [`listkit::serial::scan`] for
-/// any associative operator, commutative or not: fragment order along
-/// the contracted list *is* global list order.
-#[allow(clippy::too_many_arguments)]
-pub fn scan_sharded_into<T, Op>(
-    list: &LinkedList,
-    values: &[T],
-    op: &Op,
-    shard_size: usize,
-    lanes: usize,
-    seed: u64,
-    scratch: &mut RankScratch,
-    out: &mut Vec<T>,
-) -> ShardedReport
-where
-    T: Copy + Send + Sync,
-    Op: ScanOp<T>,
-{
-    let sharded = ShardedList::build(list, shard_size).with_lanes(lanes);
-    scan_sharded_prebuilt_into(&sharded, values, op, seed, scratch, out)
-}
-
-/// Generic-operator scan through an **already-built** [`ShardedList`]
-/// — the scan analogue of [`rank_sharded_prebuilt_into`], with the same
-/// telemetry-delta contract.
+/// which accounts for the value width) — and every fragment is
+/// re-walked seeded with its global prefix. Byte-identical to
+/// [`listkit::serial::scan`] for any associative operator, commutative
+/// or not: fragment order along the contracted list *is* global list
+/// order. Same telemetry-delta contract as
+/// [`rank_sharded_prebuilt_into`].
 pub fn scan_sharded_prebuilt_into<T, Op>(
     sharded: &ShardedList,
     values: &[T],
@@ -191,8 +150,8 @@ where
     }
 }
 
-/// Convenience wrapper for [`scan_sharded_into`] allocating fresh
-/// buffers at the default lane count.
+/// Convenience wrapper for [`scan_sharded_prebuilt_into`]: build the
+/// decomposition at the default lane count and scan into fresh buffers.
 pub fn scan_sharded<T, Op>(
     list: &LinkedList,
     values: &[T],
@@ -204,18 +163,10 @@ where
     T: Copy + Send + Sync,
     Op: ScanOp<T>,
 {
+    let sharded = ShardedList::build(list, shard_size).with_lanes(listkit::walk::DEFAULT_LANES);
     let mut out = Vec::new();
-    let mut scratch = RankScratch::new();
-    let report = scan_sharded_into(
-        list,
-        values,
-        op,
-        shard_size,
-        listkit::walk::DEFAULT_LANES,
-        seed,
-        &mut scratch,
-        &mut out,
-    );
+    let report =
+        scan_sharded_prebuilt_into(&sharded, values, op, seed, &mut RankScratch::new(), &mut out);
     (out, report)
 }
 

@@ -11,6 +11,7 @@ use crate::queue::{JobQueue, SubmitError};
 use crate::sched::SchedSnapshot;
 use crate::stats::{Counters, EngineStats};
 use crate::telemetry::{self, Phase, Span, Telemetry};
+use listkit::sharded::ShardedList;
 use listrank::HostRunner;
 use std::marker::PhantomData;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -35,10 +36,11 @@ pub struct EngineConfig {
     /// Reuse scratch buffers across jobs (`false` = allocate fresh per
     /// batch; exists so benchmarks can measure the pool's effect).
     pub pool_scratch: bool,
-    /// Per-worker vertex budget for `JobSpec::RankSharded`: lists of at
-    /// most this many vertices run monolithically, larger ones split
-    /// into shards of at most this size (≈ the vertex count whose
-    /// working set a worker can keep cache-resident).
+    /// Per-worker vertex budget for sharded requests
+    /// ([`Request::rank_sharded`] and friends): lists of at most this
+    /// many vertices run monolithically, larger ones split into shards
+    /// of at most this size (≈ the vertex count whose working set a
+    /// worker can keep cache-resident).
     pub shard_budget: usize,
     /// Interleaved traversal lanes for the multi-chain walks (`None` =
     /// the planner tunes the count per size bucket with its EWMA probe
@@ -236,11 +238,10 @@ impl Engine {
         req: Request<R>,
         opts: JobOptions,
     ) -> Result<JobHandle<R>, SubmitError> {
-        req.spec.validate()?;
-        let (job, handle) = self.make_job(req, opts);
-        self.shared.queue.push(job)?;
-        self.shared.counters.submitted.fetch_add(1, Ordering::Relaxed);
-        Ok(handle)
+        let cell = JobCell::new();
+        let (id, trace_id) =
+            self.enqueue(req.spec, opts, Responder::Cell(Arc::clone(&cell)), true)?;
+        Ok(JobHandle { id, trace_id, cell, _out: PhantomData })
     }
 
     /// Submit without blocking; fails with [`SubmitError::Full`] when
@@ -258,20 +259,15 @@ impl Engine {
         req: Request<R>,
         opts: JobOptions,
     ) -> Result<JobHandle<R>, SubmitError> {
-        req.spec.validate()?;
-        let (job, handle) = self.make_job(req, opts);
-        match self.shared.queue.try_push(job) {
-            Ok(()) => {
-                self.shared.counters.submitted.fetch_add(1, Ordering::Relaxed);
-                Ok(handle)
-            }
-            Err((e, _job)) => {
+        let cell = JobCell::new();
+        let (id, trace_id) = self
+            .enqueue(req.spec, opts, Responder::Cell(Arc::clone(&cell)), false)
+            .inspect_err(|&e| {
                 if e == SubmitError::Full {
                     self.shared.counters.rejected_full.fetch_add(1, Ordering::Relaxed);
                 }
-                Err(e)
-            }
-        }
+            })?;
+        Ok(JobHandle { id, trace_id, cell, _out: PhantomData })
     }
 
     /// Submit with explicit options and a one-shot completion callback
@@ -285,12 +281,7 @@ impl Engine {
         opts: JobOptions,
         on_done: impl FnOnce(Result<JobReport<R>, JobError>) + Send + 'static,
     ) -> Result<u64, SubmitError> {
-        req.spec.validate()?;
-        let job = self.make_callback_job(req, opts, on_done);
-        let id = job.id;
-        self.shared.queue.push(job)?;
-        self.shared.counters.submitted.fetch_add(1, Ordering::Relaxed);
-        Ok(id)
+        Ok(self.enqueue(req.spec, opts, Responder::callback(on_done), true)?.0)
     }
 
     /// Non-blocking [`Engine::submit_callback`]. On any error the
@@ -305,62 +296,35 @@ impl Engine {
         opts: JobOptions,
         on_done: impl FnOnce(Result<JobReport<R>, JobError>) + Send + 'static,
     ) -> Result<u64, SubmitError> {
-        req.spec.validate()?;
-        let job = self.make_callback_job(req, opts, on_done);
-        let id = job.id;
-        match self.shared.queue.try_push(job) {
-            Ok(()) => {
-                self.shared.counters.submitted.fetch_add(1, Ordering::Relaxed);
-                Ok(id)
-            }
-            Err((e, _job)) => Err(e),
-        }
+        Ok(self.enqueue(req.spec, opts, Responder::callback(on_done), false)?.0)
     }
 
-    fn assign_trace_id(opts: &mut JobOptions) -> u64 {
+    /// The one job constructor behind every submit path: validate the
+    /// spec, assign the job id and (unless the caller brought one) the
+    /// trace id, and queue the job — waiting for room when `block`,
+    /// failing with [`SubmitError::Full`] otherwise. Returns
+    /// `(job id, trace id)`.
+    fn enqueue(
+        &self,
+        spec: JobSpec,
+        mut opts: JobOptions,
+        responder: Responder,
+        block: bool,
+    ) -> Result<(u64, u64), SubmitError> {
+        spec.validate()?;
+        let id = self.next_id.fetch_add(1, Ordering::Relaxed);
         // Trace ids are assigned at the earliest observation point:
         // the server sets one at frame decode; in-process requests get
         // theirs here, at submit.
-        match opts.trace_id {
-            Some(t) => t,
-            None => {
-                let t = telemetry::next_trace_id();
-                opts.trace_id = Some(t);
-                t
-            }
+        let trace_id = *opts.trace_id.get_or_insert_with(telemetry::next_trace_id);
+        let job = QueuedJob { id, spec, opts, responder, enqueued: Instant::now(), seq: 0 };
+        if block {
+            self.shared.queue.push(job)?;
+        } else {
+            self.shared.queue.try_push(job).map_err(|(e, _job)| e)?;
         }
-    }
-
-    fn make_job<R>(&self, req: Request<R>, mut opts: JobOptions) -> (QueuedJob, JobHandle<R>) {
-        let id = self.next_id.fetch_add(1, Ordering::Relaxed);
-        let trace_id = Self::assign_trace_id(&mut opts);
-        let cell = JobCell::new();
-        let handle = JobHandle { id, trace_id, cell: Arc::clone(&cell), _out: PhantomData };
-        let job = QueuedJob {
-            id,
-            spec: req.spec,
-            opts,
-            responder: Responder::Cell(cell),
-            enqueued: Instant::now(),
-            seq: 0,
-        };
-        (job, handle)
-    }
-
-    fn make_callback_job<R: Send + 'static>(
-        &self,
-        req: Request<R>,
-        mut opts: JobOptions,
-        on_done: impl FnOnce(Result<JobReport<R>, JobError>) + Send + 'static,
-    ) -> QueuedJob {
-        let id = self.next_id.fetch_add(1, Ordering::Relaxed);
-        Self::assign_trace_id(&mut opts);
-        let responder = Responder::Callback(Some(Box::new(
-            move |res: Result<JobReport<ErasedOutput>, JobError>| {
-                on_done(res.map(JobReport::downcast::<R>))
-            },
-        )));
-        QueuedJob { id, spec: req.spec, opts, responder, enqueued: Instant::now(), seq: 0 }
+        self.shared.counters.submitted.fetch_add(1, Ordering::Relaxed);
+        Ok((id, trace_id))
     }
 
     /// The engine's telemetry registry (histograms, span ring) — the
@@ -492,29 +456,21 @@ fn worker_loop(shared: &Shared) {
                         continue;
                     }
                 }
-                let n = job.spec.len();
-                let op = job.spec.op_kind();
+                let spec = &job.spec;
+                let n = spec.len();
+                let op = spec.exec.op_kind();
                 let queued_ns = job.enqueued.elapsed().as_nanos() as u64;
                 // Sharded requests get the budget-aware plan branch;
                 // all others (and sharded requests that fit the budget)
                 // take the ordinary monolithic dispatch. Both are keyed
                 // on the op kind and value width.
                 let t_plan = Instant::now();
-                let decision = if job.spec.sharded() {
-                    shared.planner.choose_sharded(
-                        n,
-                        shared.cfg.shard_budget,
-                        op,
-                        job.spec.elem_bytes(),
-                        job.opts.algorithm,
-                    )
+                let (elem_bytes, pinned) = (spec.exec.elem_bytes(), job.opts.algorithm);
+                let decision = if spec.sharded {
+                    let budget = shared.cfg.shard_budget;
+                    shared.planner.choose_sharded(n, budget, op, elem_bytes, pinned)
                 } else {
-                    ShardDecision::Monolithic(shared.planner.choose(
-                        n,
-                        op,
-                        job.spec.elem_bytes(),
-                        job.opts.algorithm,
-                    ))
+                    ShardDecision::Monolithic(shared.planner.choose(n, op, elem_bytes, pinned))
                 };
                 let plan_ns = t_plan.elapsed().as_nanos() as u64;
                 let t0 = Instant::now();
@@ -535,60 +491,21 @@ fn worker_loop(shared: &Shared) {
                                 .with_seed(job.opts.seed)
                                 .with_lanes(plan.lanes);
                             runner.m = plan.m;
-                            let output: ErasedOutput = match &job.spec {
-                                JobSpec::Rank { list, .. } => {
-                                    let mut out = Vec::new();
-                                    runner.rank_into(list, &mut scratch, &mut out);
-                                    Box::new(out)
-                                }
-                                JobSpec::Scan { list, exec, .. } => {
-                                    exec.run(&runner, list, &mut scratch)
-                                }
-                            };
+                            let output = spec.exec.run(&runner, &spec.list, &mut scratch);
                             Executed { output, algorithm: plan.algorithm, shards: 0, stitch_ns: 0 }
                         }
                         ShardDecision::Sharded { shard_size, lanes, .. } => {
-                            // Resident-dataset fast path: fetch (or
-                            // build and cache) the sharded artifact for
-                            // this plan instead of rebuilding per job.
-                            let prebuilt = job
-                                .spec
-                                .warm()
-                                .map(|c| c.get_or_build(job.spec.list(), shard_size, lanes));
-                            let (output, report): (ErasedOutput, _) = match (&job.spec, &prebuilt) {
-                                (JobSpec::Rank { .. }, Some(sharded)) => {
-                                    let mut out = Vec::new();
-                                    let report = listrank::host::rank_sharded_prebuilt_into(
-                                        sharded,
-                                        job.opts.seed,
-                                        &mut scratch,
-                                        &mut out,
-                                    );
-                                    (Box::new(out), report)
-                                }
-                                (JobSpec::Scan { exec, .. }, Some(sharded)) => {
-                                    exec.run_sharded_prebuilt(sharded, job.opts.seed, &mut scratch)
-                                }
-                                (JobSpec::Rank { list, .. }, None) => {
-                                    let mut out = Vec::new();
-                                    let report = listrank::host::rank_sharded_into(
-                                        list,
-                                        shard_size,
-                                        lanes,
-                                        job.opts.seed,
-                                        &mut scratch,
-                                        &mut out,
-                                    );
-                                    (Box::new(out), report)
-                                }
-                                (JobSpec::Scan { list, exec, .. }, None) => exec.run_sharded(
-                                    list,
-                                    shard_size,
-                                    lanes,
-                                    job.opts.seed,
-                                    &mut scratch,
+                            // A resident dataset fetches (or builds and
+                            // caches) the decomposition for this plan;
+                            // an inline request builds its own.
+                            let sharded = match &spec.warm {
+                                Some(cache) => cache.get_or_build(&spec.list, shard_size, lanes),
+                                None => Arc::new(
+                                    ShardedList::build(&spec.list, shard_size).with_lanes(lanes),
                                 ),
                             };
+                            let (output, report) =
+                                spec.exec.run_sharded(&sharded, job.opts.seed, &mut scratch);
                             Executed {
                                 output,
                                 algorithm: report.stitch_algorithm,

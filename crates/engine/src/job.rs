@@ -4,11 +4,12 @@
 //! a **typed handle** ([`JobHandle<R>`]): callers say
 //! `engine.submit(Request::scan(list, values, MaxOp))` and `wait()`
 //! hands back the concrete `Vec<i64>` — no closed output enum to
-//! match, no `Option` to unwrap. Internally the generic
-//! [`listkit::ScanOp`] is erased behind the `ScanExec` object so the
-//! queue, planner and workers stay monomorphic; the handle re-types the
-//! erased output on the way out (guaranteed to succeed because only the
-//! typed builders can construct a request).
+//! match, no `Option` to unwrap. Internally every job body — ranking
+//! included, as the scan of ones it is — is erased behind one
+//! `ScanExec` object, so the queue, planner and workers stay
+//! monomorphic and see one job shape; the handle re-types the erased
+//! output on the way out (guaranteed to succeed because only the typed
+//! builders can construct a request).
 
 use crate::op::{classify_op, OpKind};
 use crate::queue::SubmitError;
@@ -27,9 +28,9 @@ use std::sync::{Arc, Condvar, Mutex};
 /// it.
 pub(crate) type ErasedOutput = Box<dyn Any + Send>;
 
-/// The executable body of a scan job with its operator and value types
-/// erased: the worker hands it a configured runner (or the sharded
-/// plan) and gets the erased output back.
+/// The executable body of a job with its operator and value types
+/// erased: the worker hands it a configured runner (or a built sharded
+/// decomposition) and gets the erased output back.
 pub(crate) trait ScanExec: Send + Sync {
     /// Stats/dispatch classification of the operator.
     fn op_kind(&self) -> OpKind;
@@ -44,24 +45,54 @@ pub(crate) trait ScanExec: Send + Sync {
         list: &LinkedList,
         scratch: &mut RankScratch,
     ) -> ErasedOutput;
-    /// Shard-parallel execution (generic stitched scan) with `lanes`
-    /// interleaved cursors per shard-local walk.
+    /// Shard-parallel execution over a built decomposition (built for
+    /// this job, or fetched from a resident dataset's artifact cache).
     fn run_sharded(
-        &self,
-        list: &LinkedList,
-        shard_size: usize,
-        lanes: usize,
-        seed: u64,
-        scratch: &mut RankScratch,
-    ) -> (ErasedOutput, ShardedReport);
-    /// Shard-parallel execution against an already-built sharded
-    /// representation (the resident-dataset artifact fast path).
-    fn run_sharded_prebuilt(
         &self,
         sharded: &ShardedList,
         seed: u64,
         scratch: &mut RankScratch,
     ) -> (ErasedOutput, ShardedReport);
+}
+
+/// List ranking — the +-scan of ones — as a body with no values to
+/// carry.
+struct RankJob;
+
+impl ScanExec for RankJob {
+    fn op_kind(&self) -> OpKind {
+        OpKind::Rank
+    }
+
+    fn elem_bytes(&self) -> usize {
+        std::mem::size_of::<u64>()
+    }
+
+    fn check(&self, _list: &LinkedList) -> bool {
+        true
+    }
+
+    fn run(
+        &self,
+        runner: &HostRunner,
+        list: &LinkedList,
+        scratch: &mut RankScratch,
+    ) -> ErasedOutput {
+        let mut out = Vec::new();
+        runner.rank_into(list, scratch, &mut out);
+        Box::new(out)
+    }
+
+    fn run_sharded(
+        &self,
+        sharded: &ShardedList,
+        seed: u64,
+        scratch: &mut RankScratch,
+    ) -> (ErasedOutput, ShardedReport) {
+        let mut out = Vec::new();
+        let report = listrank::host::rank_sharded_prebuilt_into(sharded, seed, scratch, &mut out);
+        (Box::new(out), report)
+    }
 }
 
 /// A plain generic scan job: values + operator.
@@ -100,28 +131,6 @@ where
     }
 
     fn run_sharded(
-        &self,
-        list: &LinkedList,
-        shard_size: usize,
-        lanes: usize,
-        seed: u64,
-        scratch: &mut RankScratch,
-    ) -> (ErasedOutput, ShardedReport) {
-        let mut out = Vec::new();
-        let report = listrank::host::scan_sharded_into(
-            list,
-            &self.values,
-            &self.op,
-            shard_size,
-            lanes,
-            seed,
-            scratch,
-            &mut out,
-        );
-        (Box::new(out), report)
-    }
-
-    fn run_sharded_prebuilt(
         &self,
         sharded: &ShardedList,
         seed: u64,
@@ -181,29 +190,6 @@ where
 
     fn run_sharded(
         &self,
-        list: &LinkedList,
-        shard_size: usize,
-        lanes: usize,
-        seed: u64,
-        scratch: &mut RankScratch,
-    ) -> (ErasedOutput, ShardedReport) {
-        let seg = SegOp(self.op.clone());
-        let mut scanned = Vec::new();
-        let report = listrank::host::scan_sharded_into(
-            list,
-            &self.wrapped,
-            &seg,
-            shard_size,
-            lanes,
-            seed,
-            scratch,
-            &mut scanned,
-        );
-        (Box::new(segmented::unwrap_exclusive(&scanned, &self.starts, &self.op)), report)
-    }
-
-    fn run_sharded_prebuilt(
-        &self,
         sharded: &ShardedList,
         seed: u64,
         scratch: &mut RankScratch,
@@ -226,101 +212,50 @@ where
 /// through the typed [`Request`] builders, which is what guarantees the
 /// handle's downcast always succeeds.
 #[derive(Clone)]
-pub(crate) enum JobSpec {
-    /// List ranking of `list`.
-    Rank {
-        /// The list to rank (shared so many jobs can reference one
-        /// workload list without copying).
-        list: Arc<LinkedList>,
-        /// Route through the budget-aware shard-parallel plan branch.
-        sharded: bool,
-        /// Resident-dataset artifact cache: the sharded arm fetches
-        /// (or builds and caches) the `ShardedList` here instead of
-        /// rebuilding per job. `None` for inline requests.
-        warm: Option<Arc<ArtifactCache>>,
-    },
-    /// Generic-operator scan along `list`.
-    Scan {
-        /// The list to scan along.
-        list: Arc<LinkedList>,
-        /// The erased operator + values + output conversion.
-        exec: Arc<dyn ScanExec>,
-        /// Route through the budget-aware shard-parallel plan branch.
-        sharded: bool,
-        /// Resident-dataset artifact cache (see [`JobSpec::Rank`]).
-        warm: Option<Arc<ArtifactCache>>,
-    },
+pub(crate) struct JobSpec {
+    /// The list to rank or scan along (shared so many jobs can
+    /// reference one workload list without copying).
+    pub(crate) list: Arc<LinkedList>,
+    /// The erased body: operator, values and output conversion.
+    pub(crate) exec: Arc<dyn ScanExec>,
+    /// Route through the budget-aware shard-parallel plan branch.
+    pub(crate) sharded: bool,
+    /// Resident-dataset artifact cache: the sharded arm fetches (or
+    /// builds and caches) the `ShardedList` here instead of building
+    /// one per job. `None` for inline requests.
+    pub(crate) warm: Option<Arc<ArtifactCache>>,
 }
 
 impl std::fmt::Debug for JobSpec {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "JobSpec::{}(n = {}, sharded = {})", self.op_kind(), self.len(), self.sharded())
+        let op = self.exec.op_kind();
+        write!(f, "JobSpec::{op}(n = {}, sharded = {})", self.len(), self.sharded)
     }
 }
 
 impl JobSpec {
-    /// The list this job ranks or scans.
-    pub(crate) fn list(&self) -> &Arc<LinkedList> {
-        match self {
-            JobSpec::Rank { list, .. } | JobSpec::Scan { list, .. } => list,
-        }
+    fn new(list: Arc<LinkedList>, exec: Arc<dyn ScanExec>, sharded: bool) -> Self {
+        JobSpec { list, exec, sharded, warm: None }
     }
 
     /// Number of vertices this job touches (≥ 1: `listkit` lists cannot
     /// be empty, so there is no empty-list branch anywhere downstream).
     pub(crate) fn len(&self) -> usize {
-        self.list().len()
-    }
-
-    /// Whether this job takes the budget-aware sharded plan branch.
-    pub(crate) fn sharded(&self) -> bool {
-        match self {
-            JobSpec::Rank { sharded, .. } | JobSpec::Scan { sharded, .. } => *sharded,
-        }
-    }
-
-    /// The resident-dataset artifact cache, if this job runs against a
-    /// stored dataset.
-    pub(crate) fn warm(&self) -> Option<&Arc<ArtifactCache>> {
-        match self {
-            JobSpec::Rank { warm, .. } | JobSpec::Scan { warm, .. } => warm.as_ref(),
-        }
-    }
-
-    /// The op-kind dimension for the planner and stats.
-    pub(crate) fn op_kind(&self) -> OpKind {
-        match self {
-            JobSpec::Rank { .. } => OpKind::Rank,
-            JobSpec::Scan { exec, .. } => exec.op_kind(),
-        }
-    }
-
-    /// Bytes per produced element (the cost model's width input).
-    pub(crate) fn elem_bytes(&self) -> usize {
-        match self {
-            JobSpec::Rank { .. } => std::mem::size_of::<u64>(),
-            JobSpec::Scan { exec, .. } => exec.elem_bytes(),
-        }
+        self.list.len()
     }
 
     /// Submit-time validation, shared by every submit path (blocking
-    /// and non-blocking) and exhaustive over the variants, so a new
-    /// request kind cannot bypass it: a malformed spec is rejected
-    /// here, where the caller can handle the error, instead of
-    /// panicking in a worker far from the bug. Structural list
-    /// invariants are already enforced by `LinkedList` construction;
-    /// what remains is the cross-field consistency a spec can get
-    /// wrong.
+    /// and non-blocking) and by every request kind through
+    /// [`ScanExec::check`]: a malformed spec is rejected here, where
+    /// the caller can handle the error, instead of panicking in a
+    /// worker far from the bug. Structural list invariants are already
+    /// enforced by `LinkedList` construction; what remains is the
+    /// cross-field consistency a spec can get wrong.
     pub(crate) fn validate(&self) -> Result<(), SubmitError> {
-        match self {
-            JobSpec::Rank { .. } => Ok(()),
-            JobSpec::Scan { list, exec, .. } => {
-                if exec.check(list) {
-                    Ok(())
-                } else {
-                    Err(SubmitError::Invalid)
-                }
-            }
+        if self.exec.check(&self.list) {
+            Ok(())
+        } else {
+            Err(SubmitError::Invalid)
         }
     }
 }
@@ -369,7 +304,7 @@ impl<R> Request<R> {
     /// The op-kind classification this request will be dispatched and
     /// accounted under.
     pub fn op_kind(&self) -> OpKind {
-        self.spec.op_kind()
+        self.spec.exec.op_kind()
     }
 
     /// Attach a resident dataset's [`ArtifactCache`]: if the planner
@@ -378,9 +313,7 @@ impl<R> Request<R> {
     /// use) instead of rebuilding it per job. Used by the server for
     /// handle-routed queries ([`crate::DatasetRef::artifacts`]).
     pub fn with_artifacts(mut self, cache: Arc<ArtifactCache>) -> Self {
-        match &mut self.spec {
-            JobSpec::Rank { warm, .. } | JobSpec::Scan { warm, .. } => *warm = Some(cache),
-        }
+        self.spec.warm = Some(cache);
         self
     }
 }
@@ -388,7 +321,7 @@ impl<R> Request<R> {
 impl Request<Vec<u64>> {
     /// List ranking of `list`; the handle resolves to the rank vector.
     pub fn rank(list: Arc<LinkedList>) -> Self {
-        Self::new(JobSpec::Rank { list, sharded: false, warm: None })
+        Self::new(JobSpec::new(list, Arc::new(RankJob), false))
     }
 
     /// List ranking through the budget-aware shard-parallel path: lists
@@ -396,7 +329,7 @@ impl Request<Vec<u64>> {
     /// shards, smaller ones run monolithically exactly like
     /// [`Request::rank`].
     pub fn rank_sharded(list: Arc<LinkedList>) -> Self {
-        Self::new(JobSpec::Rank { list, sharded: true, warm: None })
+        Self::new(JobSpec::new(list, Arc::new(RankJob), true))
     }
 }
 
@@ -406,12 +339,7 @@ impl<T: Copy + Send + Sync + 'static> Request<Vec<T>> {
         Op: ScanOp<T> + Send + Sync + 'static,
     {
         let kind = classify_op::<Op>();
-        Self::new(JobSpec::Scan {
-            list,
-            exec: Arc::new(ScanJob { values, op, kind }),
-            sharded,
-            warm: None,
-        })
+        Self::new(JobSpec::new(list, Arc::new(ScanJob { values, op, kind }), sharded))
     }
 
     fn segmented_inner<Op>(
@@ -431,12 +359,7 @@ impl<T: Copy + Send + Sync + 'static> Request<Vec<T>> {
         } else {
             Arc::new(Vec::new())
         };
-        Self::new(JobSpec::Scan {
-            list,
-            exec: Arc::new(SegScanJob { wrapped, starts, op }),
-            sharded,
-            warm: None,
-        })
+        Self::new(JobSpec::new(list, Arc::new(SegScanJob { wrapped, starts, op }), sharded))
     }
 
     /// Exclusive scan of `values` along `list` under any associative
@@ -778,6 +701,18 @@ pub(crate) enum Responder {
 }
 
 impl Responder {
+    /// A one-shot callback responder that re-types the erased report
+    /// for `on_done`.
+    pub(crate) fn callback<R: 'static>(
+        on_done: impl FnOnce(Result<JobReport<R>, JobError>) + Send + 'static,
+    ) -> Self {
+        Responder::Callback(Some(Box::new(
+            move |res: Result<JobReport<ErasedOutput>, JobError>| {
+                on_done(res.map(JobReport::downcast::<R>))
+            },
+        )))
+    }
+
     /// Deliver the result. First settle wins (a cancelled cell drops
     /// later results); returns whether this call's result landed.
     pub(crate) fn settle(&mut self, result: Result<JobReport<ErasedOutput>, JobError>) -> bool {

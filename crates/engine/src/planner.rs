@@ -9,6 +9,15 @@
 //! actually sits **for that operator** — a wide affine-composition scan
 //! moves twice the memory of a ranking and can cross over at a
 //! different size, and their histories must not contaminate each other.
+//!
+//! Three decisions learn this way — the algorithm (Serial vs
+//! Reid-Miller), the Reid-Miller lane count, and the maintenance
+//! strategy after a mutation — and all three share one EWMA fold
+//! (`Ewma::fold`) and one pick rule (`contest`): an unmeasured prior
+//! runs; otherwise a probe tick tries the least-sampled arm while any
+//! arm is unmeasured; otherwise the cheapest measured arm wins, ties to
+//! the first arm in order. Each decision keeps its own history table
+//! and probe counter.
 
 use crate::op::OpKind;
 use crate::telemetry::log::Level;
@@ -27,8 +36,8 @@ const OPS: usize = OpKind::ALL.len();
 /// EWMA smoothing factor for new measurements.
 const ALPHA: f64 = 0.25;
 
-/// Probe the unmeasured contender once in this many dispatches per
-/// bucket, so measured history covers both candidates.
+/// Probe an unmeasured arm once in this many decisions (each decision
+/// counts its own), so measured history covers every arm.
 const PROBE_EVERY: u64 = 16;
 
 /// Lane counts the per-bucket lane tuner picks between. The model's
@@ -41,6 +50,13 @@ const LANE_SLOTS: usize = LANE_CANDIDATES.len();
 
 pub(crate) fn bucket_of(n: usize) -> usize {
     (usize::BITS - n.leading_zeros()) as usize
+}
+
+/// The lane-ladder slot nearest to `lanes`.
+fn lane_slot(lanes: usize) -> usize {
+    (0..LANE_SLOTS)
+        .min_by_key(|&i| LANE_CANDIDATES[i].abs_diff(lanes))
+        .expect("ladder is non-empty")
 }
 
 pub(crate) fn alg_index(alg: Algorithm) -> usize {
@@ -86,6 +102,57 @@ struct Ewma {
     samples: u64,
 }
 
+impl Ewma {
+    /// Fold one measurement of `x` ns per work unit in (the first
+    /// sample seeds the average outright). With `mispredict`, first
+    /// score the pre-update average — what the planner would have
+    /// predicted — as `x / prediction ×` [`MISPREDICT_SCALE`].
+    fn fold(&mut self, x: f64, mispredict: Option<&AtomicHistogram>) {
+        if let Some(h) = mispredict.filter(|_| self.samples > 0 && self.ns_per_elem > 0.0) {
+            let ratio = (x / self.ns_per_elem) * MISPREDICT_SCALE as f64;
+            h.record(ratio.clamp(0.0, u64::MAX as f64) as u64);
+        }
+        self.ns_per_elem =
+            if self.samples == 0 { x } else { (1.0 - ALPHA) * self.ns_per_elem + ALPHA * x };
+        self.samples += 1;
+    }
+}
+
+/// Whether a decision whose probe counter reads `count` is on its
+/// probe tick (one in every [`PROBE_EVERY`]).
+fn probe_tick(count: u64) -> bool {
+    count % PROBE_EVERY == PROBE_EVERY - 1
+}
+
+/// The one pick rule of every EWMA decision. `arms` are listed in
+/// tie-break order, `prior` is the model's arm, and `cost(i)` turns arm
+/// `i`'s EWMA into the predicted cost being compared. An unmeasured
+/// prior runs (which covers a bucket with no history too), so one
+/// stray sample cannot pull a bucket off its prior before the prior is
+/// measured; otherwise, on a probe tick while any arm is unmeasured,
+/// the least-sampled arm runs so history covers every arm; otherwise
+/// the cheapest measured arm wins. Returns the arm and its predicted
+/// cost (`0.0` when that arm is unmeasured).
+fn contest(arms: &[Ewma], prior: usize, probe: bool, cost: impl Fn(usize) -> f64) -> (usize, f64) {
+    let measured = |i: &usize| arms[*i].samples > 0;
+    let pick = if !measured(&prior) {
+        prior
+    } else if probe && !(0..arms.len()).all(|i| measured(&i)) {
+        (0..arms.len()).min_by_key(|&i| arms[i].samples).expect("arms are non-empty")
+    } else {
+        (0..arms.len())
+            .filter(measured)
+            .min_by(|&a, &b| cost(a).total_cmp(&cost(b)))
+            .expect("the prior is measured")
+    };
+    (pick, if measured(&pick) { cost(pick) } else { 0.0 })
+}
+
+/// The algorithm contest's arms, in tie-break order. Reid-Miller is the
+/// host's only work-efficient parallel algorithm (see
+/// [`Planner::prior_choice`]), so the other three run only when pinned.
+const ALG_ARMS: [Algorithm; 2] = [Algorithm::Serial, Algorithm::ReidMiller];
+
 /// The maintenance decision for one mutated artifact: patch the dirty
 /// shards in place, or rebuild the decomposition from scratch. Returned
 /// by [`Planner::choose_maintenance`].
@@ -103,9 +170,10 @@ pub struct MutateDecision {
     pub predicted_ns: f64,
 }
 
-/// Maintenance-strategy slots in the mutate EWMA table.
-const MAINT_INCREMENTAL: usize = 0;
-const MAINT_REBUILD: usize = 1;
+/// Maintenance-strategy slots in the mutate EWMA table, in the
+/// contest's tie-break order (equal predictions rebuild).
+const MAINT_REBUILD: usize = 0;
+const MAINT_INCREMENTAL: usize = 1;
 
 /// The work-unit count a maintenance EWMA normalizes by: the vertices
 /// actually re-derived plus the contracted rows re-assembled. Using
@@ -141,7 +209,8 @@ pub struct PlanDecision {
     pub shards: usize,
     /// The EWMA's predicted ns/element for the chosen algorithm at
     /// decision time, or `0.0` when the bucket had no measurement yet
-    /// (prior-driven dispatch).
+    /// (prior-driven dispatch) and for every sharded dispatch (sharded
+    /// runs feed no per-algorithm EWMA).
     pub predicted_ns_per_elem: f64,
     /// Whether the caller pinned the algorithm.
     pub pinned: bool,
@@ -231,7 +300,14 @@ impl Planner {
         elem_bytes: usize,
         pinned: Option<Algorithm>,
     ) -> Plan {
-        let algorithm = pinned.unwrap_or_else(|| self.adaptive_choice(n, op, elem_bytes));
+        let (algorithm, predicted_ns_per_elem) = match pinned {
+            Some(alg) => {
+                let e = self.measured.lock().expect("planner poisoned")[bucket_of(n)][op.index()]
+                    [alg_index(alg)];
+                (alg, if e.samples > 0 { e.ns_per_elem } else { 0.0 })
+            }
+            None => self.adaptive_choice(n, op, elem_bytes),
+        };
         self.dispatched[bucket_of(n)][alg_index(algorithm)].fetch_add(1, Ordering::Relaxed);
         self.dispatched_by_op[op.index()][alg_index(algorithm)].fetch_add(1, Ordering::Relaxed);
         let (m, lanes) = if algorithm == Algorithm::ReidMiller {
@@ -240,32 +316,15 @@ impl Planner {
         } else {
             (None, 1)
         };
-        let plan = Plan { algorithm, m, lanes };
-        self.log_decision(n, op, algorithm, lanes, 0, pinned.is_some());
-        plan
+        let pinned = pinned.is_some();
+        let d = PlanDecision { n, op, algorithm, lanes, shards: 0, predicted_ns_per_elem, pinned };
+        self.log_decision(d);
+        Plan { algorithm, m, lanes }
     }
 
     /// Record one decision in the introspection ring (and at
     /// `RANKD_LOG=debug`, on stderr).
-    fn log_decision(
-        &self,
-        n: usize,
-        op: OpKind,
-        algorithm: Algorithm,
-        lanes: usize,
-        shards: usize,
-        pinned: bool,
-    ) {
-        let predicted_ns_per_elem = {
-            let measured = self.measured.lock().expect("planner poisoned");
-            let e = measured[bucket_of(n)][op.index()][alg_index(algorithm)];
-            if e.samples > 0 {
-                e.ns_per_elem
-            } else {
-                0.0
-            }
-        };
-        let d = PlanDecision { n, op, algorithm, lanes, shards, predicted_ns_per_elem, pinned };
+    fn log_decision(&self, d: PlanDecision) {
         if crate::telemetry::log::enabled(Level::Debug) {
             crate::telemetry::log::write(
                 Level::Debug,
@@ -307,96 +366,32 @@ impl Planner {
     }
 
     /// The lane count for an `n`-vertex Reid-Miller job: the override
-    /// if pinned, else the bucket's best measured candidate, probing
-    /// unmeasured candidates on the probe cadence, seeded by the
-    /// model's prior.
+    /// if pinned, else the [`contest`] over the bucket's lane ladder,
+    /// seeded by the model's default and probed on the bucket's
+    /// Reid-Miller dispatch count.
     fn tuned_lanes(&self, n: usize) -> usize {
         if let Some(k) = self.lanes_override {
             return k;
         }
         let b = bucket_of(n);
-        let row = { self.lane_measured.lock().expect("planner poisoned")[b] };
-        let measured_any = row.iter().any(|e| e.samples > 0);
-        let unmeasured_any = row.iter().any(|e| e.samples == 0);
-        if measured_any && unmeasured_any {
-            // Probe the least-sampled candidate periodically so the
-            // bucket's history eventually covers the whole ladder.
-            let rm = self.dispatched[b][alg_index(Algorithm::ReidMiller)].load(Ordering::Relaxed);
-            if rm % PROBE_EVERY == PROBE_EVERY - 1 {
-                let (i, _) = row
-                    .iter()
-                    .enumerate()
-                    .min_by_key(|(_, e)| e.samples)
-                    .expect("candidate ladder is non-empty");
-                return LANE_CANDIDATES[i];
-            }
-        }
-        if measured_any {
-            let (i, _) = row
-                .iter()
-                .enumerate()
-                .filter(|(_, e)| e.samples > 0)
-                .min_by(|(_, a), (_, b)| {
-                    a.ns_per_elem.partial_cmp(&b.ns_per_elem).expect("EWMAs are finite")
-                })
-                .expect("measured_any");
-            LANE_CANDIDATES[i]
-        } else {
-            default_lanes(n)
-        }
+        let arms = self.lane_measured.lock().expect("planner poisoned")[b];
+        let rm = self.dispatched[b][alg_index(Algorithm::ReidMiller)].load(Ordering::Relaxed);
+        let prior = lane_slot(default_lanes(n));
+        LANE_CANDIDATES[contest(&arms, prior, probe_tick(rm), |i| arms[i].ns_per_elem).0]
     }
 
-    fn adaptive_choice(&self, n: usize, op: OpKind, elem_bytes: usize) -> Algorithm {
+    /// The [`contest`] between Serial and Reid-Miller in the job's
+    /// (bucket, op) history, probed on the bucket's dispatch count.
+    /// Returns the pick and its predicted ns/element.
+    fn adaptive_choice(&self, n: usize, op: OpKind, elem_bytes: usize) -> (Algorithm, f64) {
         let b = bucket_of(n);
         let prior = self.prior_choice(n, elem_bytes);
-        let measured = self.measured.lock().expect("planner poisoned");
-        let serial = measured[b][op.index()][alg_index(Algorithm::Serial)];
-        let rm = measured[b][op.index()][alg_index(Algorithm::ReidMiller)];
-        drop(measured);
-        match (serial.samples, rm.samples) {
-            // Nothing measured for this (bucket, op) yet: trust the
-            // model.
-            (0, 0) => prior,
-            // One contender unmeasured. If it is the *prior* that lacks
-            // a sample (e.g. the measured one arrived via a pinned
-            // job), dispatch the prior so it gets measured — otherwise a
-            // single pinned job would poison the bucket onto the
-            // non-prior contender. If the prior is the measured one,
-            // keep it and probe the other periodically (Reid-Miller
-            // only where it could plausibly win: p ≥ 2).
-            (0, _) | (_, 0) => {
-                let prior_measured = match prior {
-                    Algorithm::Serial => serial.samples > 0,
-                    _ => rm.samples > 0,
-                };
-                if !prior_measured {
-                    return prior;
-                }
-                let other = if prior == Algorithm::Serial {
-                    Algorithm::ReidMiller
-                } else {
-                    Algorithm::Serial
-                };
-                let count: u64 = self.dispatched[b].iter().map(|c| c.load(Ordering::Relaxed)).sum();
-                let probe = count % PROBE_EVERY == PROBE_EVERY - 1;
-                // Reid-Miller is a plausible winner even at p = 1 now
-                // (lanes hide latency without threads), so both
-                // contenders are probe-worthy everywhere.
-                if probe {
-                    other
-                } else {
-                    prior
-                }
-            }
-            // Both measured: cheapest expected time wins.
-            _ => {
-                if serial.ns_per_elem <= rm.ns_per_elem {
-                    Algorithm::Serial
-                } else {
-                    Algorithm::ReidMiller
-                }
-            }
-        }
+        let prior = ALG_ARMS.iter().position(|&a| a == prior).expect("the prior is an arm");
+        let row = self.measured.lock().expect("planner poisoned")[b][op.index()];
+        let arms = ALG_ARMS.map(|a| row[alg_index(a)]);
+        let count: u64 = self.dispatched[b].iter().map(|c| c.load(Ordering::Relaxed)).sum();
+        let (i, predicted) = contest(&arms, prior, probe_tick(count), |i| arms[i].ns_per_elem);
+        (ALG_ARMS[i], predicted)
     }
 
     /// The plan branch for sharded requests. Budget-aware: a list of at
@@ -426,8 +421,11 @@ impl Planner {
         // duplicate tally.
         let shards = n.div_ceil(shard_size);
         // The stitch algorithm is chosen downstream by the sharded
-        // runner; log the shard-local phase (a serial walk per shard).
-        self.log_decision(n, op, Algorithm::Serial, lanes, shards, false);
+        // runner; log the shard-local phase (a serial walk per shard),
+        // with no prediction: sharded runs feed no EWMA.
+        let (algorithm, predicted_ns_per_elem, pinned) = (Algorithm::Serial, 0.0, false);
+        let d = PlanDecision { n, op, algorithm, lanes, shards, predicted_ns_per_elem, pinned };
+        self.log_decision(d);
         ShardDecision::Sharded { shard_size, shards, lanes }
     }
 
@@ -464,21 +462,8 @@ impl Planner {
         if n == 0 {
             return;
         }
-        let slot = LANE_CANDIDATES
-            .iter()
-            .enumerate()
-            .min_by_key(|(_, &c)| c.abs_diff(lanes))
-            .map(|(i, _)| i)
-            .expect("candidate ladder is non-empty");
-        let per_elem = exec_ns as f64 / n as f64;
         let mut measured = self.lane_measured.lock().expect("planner poisoned");
-        let e = &mut measured[bucket_of(n)][slot];
-        e.ns_per_elem = if e.samples == 0 {
-            per_elem
-        } else {
-            (1.0 - ALPHA) * e.ns_per_elem + ALPHA * per_elem
-        };
-        e.samples += 1;
+        measured[bucket_of(n)][lane_slot(lanes)].fold(exec_ns as f64 / n as f64, None);
     }
 
     /// Fold one completed job into the (bucket, op) history, scoring
@@ -487,22 +472,9 @@ impl Planner {
         if n == 0 {
             return;
         }
-        let per_elem = exec_ns as f64 / n as f64;
         let mut measured = self.measured.lock().expect("planner poisoned");
         let e = &mut measured[bucket_of(n)][op.index()][alg_index(alg)];
-        if e.samples > 0 && e.ns_per_elem > 0.0 {
-            // The pre-update EWMA is what `choose` would have predicted
-            // for this job; its measured/predicted ratio (scaled by
-            // MISPREDICT_SCALE) is the planner's self-assessment.
-            let ratio = (per_elem / e.ns_per_elem) * MISPREDICT_SCALE as f64;
-            self.mispredict.record(ratio.clamp(0.0, u64::MAX as f64) as u64);
-        }
-        e.ns_per_elem = if e.samples == 0 {
-            per_elem
-        } else {
-            (1.0 - ALPHA) * e.ns_per_elem + ALPHA * per_elem
-        };
-        e.samples += 1;
+        e.fold(exec_ns as f64 / n as f64, Some(&self.mispredict));
     }
 
     /// Choose how to bring an `n`-vertex sharded decomposition
@@ -510,13 +482,13 @@ impl Planner {
     /// up to date after a mutation batch dirtied `dirty` shards: patch
     /// the dirty shards in place, or rebuild from scratch.
     ///
-    /// Same layering as [`Self::choose`]: the cost model
-    /// ([`rankmodel::predict::predict_patch`]) is the cold-start prior;
-    /// once the size bucket has measured history for both strategies,
-    /// the cheaper expected time wins; with one strategy unmeasured,
-    /// the measured one runs but the other is probed on the
-    /// `PROBE_EVERY` cadence so history covers both sides of the
-    /// crossover.
+    /// Same pick rule as [`Self::choose`], over the size bucket's
+    /// per-unit history: the cost model
+    /// ([`rankmodel::predict::predict_patch`]) names the prior; once
+    /// both strategies are measured the cheaper predicted time wins
+    /// (rebuild on a tie); with one unmeasured, the other is probed on
+    /// the `PROBE_EVERY` cadence so history covers both sides of the
+    /// crossover. A fully-dirty batch always rebuilds.
     pub fn choose_maintenance(
         &self,
         n: usize,
@@ -528,48 +500,18 @@ impl Planner {
         let dirty = dirty.min(shards);
         let b = bucket_of(n);
         let lanes = self.lanes_override.unwrap_or_else(|| default_lanes(shard_size.min(n)));
-        let prior = dirty < shards && predict_patch(n, shard_size, fragments, dirty, self.p, lanes);
-        let row = { self.maint_measured.lock().expect("planner poisoned")[b] };
-        let incr = row[MAINT_INCREMENTAL];
-        let reb = row[MAINT_REBUILD];
+        let patch = dirty < shards && predict_patch(n, shard_size, fragments, dirty, self.p, lanes);
+        let prior = if patch { MAINT_INCREMENTAL } else { MAINT_REBUILD };
+        let row = self.maint_measured.lock().expect("planner poisoned")[b];
+        let count: u64 = self.maint_dispatched.iter().map(|c| c.load(Ordering::Relaxed)).sum();
         // A fully-dirty batch has nothing clean to reuse: patching is a
-        // rebuild with extra bookkeeping, so never "probe" it.
-        let incremental = if dirty >= shards {
-            false
-        } else {
-            match (incr.samples, reb.samples) {
-                (0, 0) => prior,
-                (0, _) | (_, 0) => {
-                    let prior_measured = if prior { incr.samples > 0 } else { reb.samples > 0 };
-                    if !prior_measured {
-                        prior
-                    } else {
-                        let count: u64 =
-                            self.maint_dispatched.iter().map(|c| c.load(Ordering::Relaxed)).sum();
-                        if count % PROBE_EVERY == PROBE_EVERY - 1 {
-                            !prior
-                        } else {
-                            prior
-                        }
-                    }
-                }
-                _ => {
-                    let incr_ns = incr.ns_per_elem
-                        * maint_units(n, shard_size, fragments, dirty, MAINT_INCREMENTAL) as f64;
-                    let reb_ns = reb.ns_per_elem
-                        * maint_units(n, shard_size, fragments, dirty, MAINT_REBUILD) as f64;
-                    incr_ns < reb_ns
-                }
-            }
-        };
-        let kind = if incremental { MAINT_INCREMENTAL } else { MAINT_REBUILD };
+        // rebuild with extra bookkeeping, so rebuild is the only arm.
+        let arms = if dirty < shards { &row[..] } else { &row[..=MAINT_REBUILD] };
+        let units = |k: usize| maint_units(n, shard_size, fragments, dirty, k) as f64;
+        let (kind, predicted_ns) =
+            contest(arms, prior, probe_tick(count), |k| row[k].ns_per_elem * units(k));
+        let incremental = kind == MAINT_INCREMENTAL;
         self.maint_dispatched[kind].fetch_add(1, Ordering::Relaxed);
-        let chosen = row[kind];
-        let predicted_ns = if chosen.samples > 0 {
-            chosen.ns_per_elem * maint_units(n, shard_size, fragments, dirty, kind) as f64
-        } else {
-            0.0
-        };
         if crate::telemetry::log::enabled(Level::Debug) {
             crate::telemetry::log::write(
                 Level::Debug,
@@ -603,17 +545,7 @@ impl Planner {
         let kind = if incremental { MAINT_INCREMENTAL } else { MAINT_REBUILD };
         let per_unit = exec_ns as f64 / maint_units(n, shard_size, fragments, dirty, kind) as f64;
         let mut measured = self.maint_measured.lock().expect("planner poisoned");
-        let e = &mut measured[bucket_of(n)][kind];
-        if e.samples > 0 && e.ns_per_elem > 0.0 {
-            let ratio = (per_unit / e.ns_per_elem) * MISPREDICT_SCALE as f64;
-            self.maint_mispredict.record(ratio.clamp(0.0, u64::MAX as f64) as u64);
-        }
-        e.ns_per_elem = if e.samples == 0 {
-            per_unit
-        } else {
-            (1.0 - ALPHA) * e.ns_per_elem + ALPHA * per_unit
-        };
-        e.samples += 1;
+        measured[bucket_of(n)][kind].fold(per_unit, Some(&self.maint_mispredict));
     }
 
     /// Maintenance dispatch counts: `(incremental, rebuild)`.
@@ -986,6 +918,12 @@ mod tests {
         planner.choose_sharded(1 << 24, 1 << 20, OpKind::Rank, 8, None);
         let last = planner.recent_decisions(1);
         assert!(last[0].shards > 1, "sharded decision logged: {:?}", last[0]);
+        // ...and no prediction, even where the bucket's monolithic
+        // Serial EWMA holds one: sharded runs never feed it.
+        planner.record(1 << 24, OpKind::Rank, Algorithm::Serial, 1 << 24);
+        planner.choose_sharded(1 << 24, 1 << 20, OpKind::Rank, 8, None);
+        let last = planner.recent_decisions(1);
+        assert_eq!(last[0].predicted_ns_per_elem, 0.0, "sharded decision predicted: {:?}", last[0]);
     }
 
     /// The paper-scale dynamic case the rankmodel prior is pinned on:
@@ -1097,5 +1035,175 @@ mod tests {
         assert_eq!(get(OpKind::Rank), 1);
         assert_eq!(get(OpKind::Max), 2);
         assert_eq!(get(OpKind::Xor), 0);
+    }
+
+    /// `PROBE_EVERY` consecutive picks: exactly one of them lands on
+    /// the decision's probe tick (index [`ALG_TICK`], [`MAINT_TICK`] or
+    /// [`LANE_TICK`] on a fresh planner).
+    fn cadence<T>(mut pick: impl FnMut() -> T) -> Vec<T> {
+        (0..PROBE_EVERY).map(|_| pick()).collect()
+    }
+
+    /// `PROBE_EVERY` copies of `base` with `tick` at `at`.
+    fn expect_cadence<T: Copy>(base: T, at: usize, tick: T) -> Vec<T> {
+        let mut v = vec![base; PROBE_EVERY as usize];
+        v[at] = tick;
+        v
+    }
+
+    /// The algorithm and maintenance contests count dispatches before
+    /// this one; the lane contest counts Reid-Miller dispatches
+    /// including this one.
+    const ALG_TICK: usize = PROBE_EVERY as usize - 1;
+    const MAINT_TICK: usize = PROBE_EVERY as usize - 1;
+    const LANE_TICK: usize = PROBE_EVERY as usize - 2;
+
+    #[test]
+    fn contest_decision_table() {
+        use Algorithm::{ReidMiller as Rm, Serial};
+        // Algorithm contest, arms [Serial, Reid-Miller]. At p = 4 the
+        // prior is Serial for 100 vertices and Reid-Miller for 2M.
+        let alg = |p: &Planner, n: usize| choose1(p, n, None).algorithm;
+        let per_elem = |p: &Planner, n: usize, a: Algorithm, ns: f64| {
+            p.record(n, RANK, a, (ns * n as f64) as u64)
+        };
+        // No arm measured: the prior, tick or not.
+        let p = Planner::new(4);
+        assert_eq!(cadence(|| alg(&p, 100)), vec![Serial; 16]);
+        let p = Planner::new(4);
+        assert_eq!(cadence(|| alg(&p, 2_000_000)), vec![Rm; 16]);
+        assert_eq!(p.recent_decisions(1)[0].predicted_ns_per_elem, 0.0);
+        // Prior unmeasured, the other measured: the prior, tick or not.
+        let p = Planner::new(4);
+        per_elem(&p, 100, Rm, 1.0);
+        assert_eq!(cadence(|| alg(&p, 100)), vec![Serial; 16]);
+        let p = Planner::new(4);
+        per_elem(&p, 2_000_000, Serial, 1.0);
+        assert_eq!(cadence(|| alg(&p, 2_000_000)), vec![Rm; 16]);
+        // Prior measured, the other unmeasured: the prior off the tick,
+        // the unmeasured arm on it.
+        let p = Planner::new(4);
+        per_elem(&p, 100, Serial, 3.0);
+        assert_eq!(cadence(|| alg(&p, 100)), expect_cadence(Serial, ALG_TICK, Rm));
+        let p = Planner::new(4);
+        per_elem(&p, 2_000_000, Rm, 3.0);
+        assert_eq!(cadence(|| alg(&p, 2_000_000)), expect_cadence(Rm, ALG_TICK, Serial));
+        assert_eq!(p.recent_decisions(1)[0].predicted_ns_per_elem, 0.0, "probe is unmeasured");
+        assert_eq!(alg(&p, 2_000_000), Rm);
+        assert_eq!(p.recent_decisions(1)[0].predicted_ns_per_elem, 3.0);
+        // Every arm measured: the cheapest, with no probe on the tick.
+        let p = Planner::new(4);
+        per_elem(&p, 100, Serial, 2.0);
+        per_elem(&p, 100, Rm, 1.0);
+        assert_eq!(cadence(|| alg(&p, 100)), vec![Rm; 16]);
+        assert_eq!(p.recent_decisions(1)[0].predicted_ns_per_elem, 1.0);
+        let p = Planner::new(4);
+        per_elem(&p, 2_000_000, Serial, 1.0);
+        per_elem(&p, 2_000_000, Rm, 2.0);
+        assert_eq!(cadence(|| alg(&p, 2_000_000)), vec![Serial; 16]);
+        // Equal EWMAs: Serial, whichever arm the prior is.
+        for n in [100, 2_000_000] {
+            let p = Planner::new(4);
+            per_elem(&p, n, Serial, 2.0);
+            per_elem(&p, n, Rm, 2.0);
+            assert_eq!(cadence(|| alg(&p, n)), vec![Serial; 16], "n = {n}");
+        }
+
+        // Maintenance contest, arms [rebuild, incremental]. At p = 8
+        // the prior patches 3 of 64 dirty shards and rebuilds 57.
+        let (n, shard, frags) = (MAINT_N, MAINT_SHARD, MAINT_FRAGS);
+        let shards = n / shard;
+        let units = |dirty: usize, incremental: bool| {
+            let kind = if incremental { MAINT_INCREMENTAL } else { MAINT_REBUILD };
+            maint_units(n, shard, frags, dirty, kind)
+        };
+        let incr =
+            |p: &Planner, dirty: usize| p.choose_maintenance(n, shard, frags, dirty).incremental;
+        // `ns` per work unit of the given strategy at `dirty`.
+        let per_unit = |p: &Planner, dirty: usize, incremental: bool, ns: u64| {
+            p.record_maintenance(
+                n,
+                shard,
+                frags,
+                dirty,
+                incremental,
+                ns * units(dirty, incremental),
+            )
+        };
+        // No arm measured: the prior.
+        let p = Planner::new(8);
+        assert_eq!(cadence(|| incr(&p, 3)), vec![true; 16]);
+        assert_eq!(cadence(|| incr(&p, 57)), vec![false; 16]);
+        // Prior unmeasured: the prior, tick or not.
+        let p = Planner::new(8);
+        per_unit(&p, 3, false, 1);
+        assert_eq!(cadence(|| incr(&p, 3)), vec![true; 16]);
+        let p = Planner::new(8);
+        per_unit(&p, 3, true, 1);
+        assert_eq!(cadence(|| incr(&p, 57)), vec![false; 16]);
+        // Prior measured, the other unmeasured: probe on the tick.
+        let p = Planner::new(8);
+        per_unit(&p, 3, true, 1);
+        assert_eq!(cadence(|| incr(&p, 3)), expect_cadence(true, MAINT_TICK, false));
+        let p = Planner::new(8);
+        per_unit(&p, 3, false, 1);
+        assert_eq!(cadence(|| incr(&p, 57)), expect_cadence(false, MAINT_TICK, true));
+        // Every arm measured: the cheaper total, no probe; the
+        // prediction is the chosen arm's per-unit EWMA times its units.
+        let p = Planner::new(8);
+        per_unit(&p, 3, true, 1_000);
+        per_unit(&p, 3, false, 1);
+        assert_eq!(cadence(|| incr(&p, 3)), vec![false; 16]);
+        let d = p.choose_maintenance(n, shard, frags, 3);
+        assert_eq!(d.predicted_ns, units(3, false) as f64);
+        // Equal predicted totals at 3 dirty shards: rebuild.
+        let p = Planner::new(8);
+        let (ui, ur) = (units(3, true), units(3, false));
+        p.record_maintenance(n, shard, frags, 3, true, ui * ur);
+        p.record_maintenance(n, shard, frags, 3, false, ui * ur);
+        assert_eq!(cadence(|| incr(&p, 3)), vec![false; 16]);
+        // Fully dirty: rebuild, whatever the history says.
+        let p = Planner::new(8);
+        per_unit(&p, 3, true, 1);
+        per_unit(&p, 3, false, 1_000);
+        assert_eq!(cadence(|| incr(&p, shards)), vec![false; 16]);
+
+        // Lane contest, arms LANE_CANDIDATES (fewest first); the prior
+        // is the model default for the job size.
+        let n = 1 << 22;
+        let prior = rankmodel::predict::default_lanes(n);
+        let lanes = |p: &Planner| choose1(p, n, None).lanes;
+        let rung = |p: &Planner, k: usize, ns: u64| p.record_lanes(n, k, ns * n as u64);
+        // No rung measured: the prior.
+        let p = Planner::new(4);
+        assert_eq!(cadence(|| lanes(&p)), vec![prior; 16]);
+        // Prior measured, the others unmeasured: the least-sampled rung
+        // (the first unmeasured) on the tick.
+        let p = Planner::new(4);
+        rung(&p, prior, 1);
+        assert_eq!(cadence(|| lanes(&p)), expect_cadence(prior, LANE_TICK, 1));
+        // Every rung measured: the cheapest, no probe.
+        let p = Planner::new(4);
+        for k in LANE_CANDIDATES {
+            rung(&p, k, if k == 4 { 1 } else { 5 });
+        }
+        assert_eq!(cadence(|| lanes(&p)), vec![4; 16]);
+        // Equal EWMAs: the fewest lanes.
+        let p = Planner::new(4);
+        for k in LANE_CANDIDATES {
+            rung(&p, k, 3);
+        }
+        assert_eq!(cadence(|| lanes(&p)), vec![1; 16]);
+        // Prior unmeasured, another rung measured: the prior, tick or
+        // not. Only bucket 17 reaches this state in the engine: its
+        // 2^16-vertex jobs default to 1 lane and its larger ones to 8.
+        let p = Planner::new(4);
+        rung(&p, 2, 1);
+        assert_eq!(cadence(|| lanes(&p)), vec![prior; 16]);
+        // The model's defaults are rungs of the ladder, so an unmeasured
+        // prior runs exactly the lane count the model asked for.
+        for n in [1, 1 << 16, (1 << 16) + 1, 1 << 30] {
+            assert!(LANE_CANDIDATES.contains(&rankmodel::predict::default_lanes(n)), "n = {n}");
+        }
     }
 }

@@ -530,3 +530,45 @@ fn lane_stats_and_pinned_lanes_flow_through_the_engine() {
     let occ = stats.lane_occupancy();
     assert!(occ > 0.0 && occ <= 1.0, "occupancy in (0, 1]: {occ}");
 }
+
+#[test]
+fn cold_and_warm_sharded_pairs_agree() {
+    // One above-budget list, ranked and affine-scanned twice: cold (the
+    // worker builds the shard decomposition per job) and warm (fetched
+    // from a resident dataset's artifact cache). Both pairs run the
+    // same sharded body, so outputs are byte-identical, shard counts
+    // and stitch algorithms match, and the warm pair builds one
+    // artifact and reuses it.
+    use engine::DatasetStore;
+    let engine = Engine::new(
+        EngineConfig::default().with_workers(1).with_inner_threads(2).with_shard_budget(4096),
+    );
+    let n = 60_000;
+    let list = Arc::new(gen::random_list(n, 15));
+    let affs: Arc<Vec<Affine>> =
+        Arc::new((0..n as i64).map(|i| Affine::new((i % 3) - 1, i % 7)).collect());
+    let store = Arc::new(DatasetStore::new(1 << 30));
+    let receipt = store.put(1, Arc::clone(&list)).expect("put fits the budget");
+    let entry = store.get(receipt.handle, 1).expect("resident");
+    let rank = Request::rank_sharded(Arc::clone(&list));
+    let aff = Request::scan_sharded(Arc::clone(&list), Arc::clone(&affs), AffineOp);
+    let cold_rank = engine.submit(rank.clone()).unwrap().wait().expect("cold rank");
+    let cold_aff = engine.submit(aff.clone()).unwrap().wait().expect("cold affine");
+    let warm_rank =
+        engine.submit(rank.with_artifacts(entry.artifacts())).unwrap().wait().expect("warm rank");
+    let warm_aff =
+        engine.submit(aff.with_artifacts(entry.artifacts())).unwrap().wait().expect("warm affine");
+    assert_eq!(cold_rank.output, listkit::serial::rank(&list));
+    assert_eq!(cold_aff.output, listkit::serial::scan(&list, &affs, &AffineOp));
+    assert_eq!(warm_rank.output, cold_rank.output);
+    assert_eq!(warm_aff.output, cold_aff.output);
+    assert!(cold_rank.shards >= 2, "budget 4096 must shard n = {n}");
+    assert_eq!(cold_rank.shards, warm_rank.shards, "rank shard count");
+    assert_eq!(cold_aff.shards, warm_aff.shards, "affine shard count");
+    assert_eq!(cold_rank.algorithm, warm_rank.algorithm, "rank stitch algorithm");
+    assert_eq!(cold_aff.algorithm, warm_aff.algorithm, "affine stitch algorithm");
+    let st = store.stats();
+    assert_eq!((st.artifacts_built, st.artifacts_reused), (1, 1), "one build, one reuse");
+    assert_eq!(entry.artifacts().cached_plans().len(), 1);
+    engine.shutdown();
+}
